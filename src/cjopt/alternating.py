@@ -14,19 +14,13 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import kernel
-from .errors import Infeasible, NonMonotone
+from .errors import Infeasible, NonMonotone, RankDeficient
 from .feasibility import check_existence, delta_inverse_neg
-from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum, gamma_nullspace_param
+from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .model import ChannelSet, Precoder, SystemParams
 from .report import make_report
 
-__all__ = [
-    "AlternatingState",
-    "step1_update_x",
-    "step2_update_c",
-    "solve_alternating",
-    "solve_b_zero",
-]
+__all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "solve_b_zero"]
 
 _X_FLOOR = 1e-12
 
@@ -41,6 +35,23 @@ class AlternatingState:
     iteration: int
 
 
+def gamma_nullspace_param(G):
+    """Particular solution and null-space basis for G^H Gamma^H = I.
+
+    Returns (particular, basis): particular = G (G^H G)^{-1} meets the
+    equality, and basis has orthonormal columns spanning null(G^H), so
+    Gamma^H = particular diag(x) + basis @ W gives G^H Gamma^H = diag(x)
+    for arbitrary W. Raises RankDeficient if G loses full column rank.
+    """
+    G = np.asarray(G, dtype=np.complex128)
+    Z = G.shape[1]
+    U, s, _ = np.linalg.svd(G, full_matrices=True)
+    if s.size < Z or s.min() <= 1e-12 * max(s.max(), 1e-300):
+        raise RankDeficient("G is not full column rank")
+    particular = G @ np.linalg.solve(G.conj().T @ G, np.eye(Z, dtype=np.complex128))
+    return particular, U[:, Z:]
+
+
 class _AltWorkspace:
     """Instance-constant maps shared by both block programs."""
 
@@ -52,9 +63,7 @@ class _AltWorkspace:
         self.sigma2 = params.sigma2
         self.Mdelta = delta_inverse_neg(pre.Delta)  # p = Mdelta @ (c + sigma2 * 1)
         self.abs_a2 = np.abs(pre.A) ** 2  # Z x K
-        ns = gamma_nullspace_param(ch.G)
-        self.P = ns["particular"]  # G (G^H G)^{-1}, L x Z
-        self.N = ns["basis"]  # L x (L - Z)
+        self.P, self.N = gamma_nullspace_param(ch.G)  # G (G^H G)^{-1}: L x Z; L x (L - Z)
         self.pj2 = np.sum(np.abs(self.P) ** 2, axis=0)
         self.R = self.P.conj().T @ ch.B  # Z x K
         self.Nb = self.N.conj().T @ ch.B  # (L - Z) x K
@@ -128,9 +137,11 @@ def _unit(n, i):
     return e
 
 
-def _spectrum_program(ws: _AltWorkspace, p, budget, leak_caps=None, start=None):
+def _spectrum_program(ws: _AltWorkspace, pj2, p, budget, start, leak_caps=None):
     """Block program over (x, W, eta): minimize the largest high-power
-    SINR bound subject to the trace budget and optional leak caps."""
+    SINR bound subject to the trace budget and optional leak caps. The
+    spectrum part of the trace is sum_j pj2_j x_j^2; W enters only with
+    leak caps."""
     Z, nw = ws.Z, ws.nw
     with_w = leak_caps is not None and ws.Lz > 0
     n = Z + (nw if with_w else 0) + 1
@@ -139,7 +150,7 @@ def _spectrum_program(ws: _AltWorkspace, p, budget, leak_caps=None, start=None):
     # Trace budget: diagonal quadratic (P columns are orthogonal to N).
     rows = []
     for j in range(Z):
-        rows.append(np.sqrt(ws.pj2[j]) * _unit(n, j))
+        rows.append(np.sqrt(pj2[j]) * _unit(n, j))
     if with_w:
         for i in range(nw):
             rows.append(_unit(n, Z + i))
@@ -161,27 +172,31 @@ def _spectrum_program(ws: _AltWorkspace, p, budget, leak_caps=None, start=None):
     for j in range(Z):
         cons.append(Box(idx=j, lo=_X_FLOOR))
     return ConvexProgram(n_vars=n, objective=_unit(n, eta_i), constraints=cons,
-                         strictly_feasible_point=start), eta_i, with_w
+                         strictly_feasible_point=start)
 
 
-def step1_update_x(state: AlternatingState, pre, ch, params):
-    """Given the leaked-power caps, update the jamming spectrum (and the
-    null-space component of Gamma)."""
-    ws = _AltWorkspace(pre, ch, params)
-    return _step1(ws, state)
+def _cap_free_spectrum(ws: _AltWorkspace, pj2, p, budget):
+    """Spectrum block without leak caps (W = 0), started at an equal split
+    of the trace budget. Returns (x, eta, kernel status)."""
+    v0 = np.empty(ws.Z + 1)
+    v0[: ws.Z] = np.sqrt(0.5 * budget / (ws.Z * pj2))
+    v0[ws.Z] = 1.01 * float(np.max(p * ws.s_of(v0[: ws.Z]))) + 1e-12
+    sol = kernel.solve(_spectrum_program(ws, pj2, p, budget, v0), gap_ref=0.0)
+    return np.maximum(sol.x[: ws.Z], _X_FLOOR), float(sol.objective_value), sol.status
 
 
 def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
+    """Given the leaked-power caps, update the jamming spectrum (and the
+    null-space component of Gamma)."""
     p = ws.p_of(state.c_tilde)
     if np.any(p < 0) or p.sum() >= ws.params.p_tot:
         raise Infeasible("leaked-power caps leave no valid power allocation")
     budget = ws.params.p_tot - float(p.sum())
-    prog, eta_i, with_w = _spectrum_program(
-        ws, p, budget, leak_caps=state.c_tilde, start=_step1_start(ws, state, budget)
-    )
+    prog = _spectrum_program(ws, ws.pj2, p, budget, _step1_start(ws, state, budget),
+                             leak_caps=state.c_tilde)
     sol = kernel.solve(prog, gap_ref=0.0)
     x_new = np.maximum(sol.x[: ws.Z], _X_FLOOR)
-    W_new = ws.w_from_flat(sol.x[ws.Z : ws.Z + ws.nw]) if with_w else np.zeros((ws.Lz, ws.Z), complex)
+    W_new = ws.w_from_flat(sol.x[ws.Z : ws.Z + ws.nw]) if ws.Lz else np.zeros((ws.Lz, ws.Z), complex)
     # Monotone safeguard: the incumbent block value is always feasible.
     if ws.eta_eval(state.c_tilde, x_new) > ws.eta_eval(state.c_tilde, state.x):
         x_new, W_new = state.x, state.W
@@ -223,39 +238,9 @@ def _step1_zero_forcing(ws: _AltWorkspace, ch: ChannelSet, state: AlternatingSta
     joint = np.hstack([ch.G, ch.B])
     gram = joint.conj().T @ joint
     S = (joint @ np.linalg.inv(gram))[:, : ws.Z]  # columns scale with x_j
-    sj2 = np.sum(np.abs(S) ** 2, axis=0)
-
-    Z = ws.Z
-    n = Z + 1
-    cons = [
-        Quadratic(
-            M=np.hstack([np.diag(np.sqrt(sj2)), np.zeros((Z, 1))]),
-            d=np.zeros(Z),
-            a=np.zeros(n),
-            b=budget,
-        )
-    ]
-    for k in range(ws.K):
-        cons.append(
-            ReciprocalSum(
-                idx=np.arange(Z),
-                coeff=p[k] * ws.abs_a2[:, k],
-                power=2 * np.ones(Z),
-                a=-_unit(n, Z),
-                b=0.0,
-            )
-        )
-    for j in range(Z):
-        cons.append(Box(idx=j, lo=_X_FLOOR))
-    v0 = np.empty(n)
-    v0[:Z] = np.sqrt(0.5 * budget / (Z * sj2))
-    v0[Z] = 1.01 * float(np.max(p * ws.s_of(v0[:Z]))) + 1e-12
-    prog = ConvexProgram(n_vars=n, objective=_unit(n, Z), constraints=cons,
-                         strictly_feasible_point=v0)
-    sol = kernel.solve(prog, gap_ref=0.0)
-    x_new = np.maximum(sol.x[:Z], _X_FLOOR)
+    x_new, _, _ = _cap_free_spectrum(ws, np.sum(np.abs(S) ** 2, axis=0), p, budget)
     gamma_h = S @ np.diag(x_new).astype(np.complex128)
-    W_new = ws.N.conj().T @ gamma_h if ws.Lz else np.zeros((0, Z), complex)
+    W_new = ws.N.conj().T @ gamma_h if ws.Lz else np.zeros((0, ws.Z), complex)
     return dc_replace(
         state,
         x=x_new,
@@ -265,14 +250,9 @@ def _step1_zero_forcing(ws: _AltWorkspace, ch: ChannelSet, state: AlternatingSta
     )
 
 
-def step2_update_c(state: AlternatingState, pre, ch, params):
+def _step2(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
     """Given the spectrum, update the leaked-power caps (and the
     null-space component of Gamma)."""
-    ws = _AltWorkspace(pre, ch, params)
-    return _step2(ws, state)
-
-
-def _step2(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
     Z, K, nw = ws.Z, ws.K, ws.nw
     x = state.x
     s_k = ws.s_of(x)
@@ -367,15 +347,7 @@ def _leak_probe(ws: _AltWorkspace, state: AlternatingState):
     # Shave the trace budget a little so the leakage charged back after the
     # solve still fits the total power budget.
     budget *= 1.0 - 1e-6
-    prog, eta_i, _ = _spectrum_program(ws, p, budget, leak_caps=None)
-    n = prog.n_vars
-    v0 = np.empty(n)
-    v0[: ws.Z] = np.sqrt(0.5 * budget / (ws.Z * ws.pj2))
-    v0[eta_i] = 1.01 * float(np.max(p * ws.s_of(v0[: ws.Z]))) + 1e-12
-    prog = ConvexProgram(n_vars=n, objective=prog.objective, constraints=prog.constraints,
-                         strictly_feasible_point=v0)
-    sol = kernel.solve(prog, gap_ref=0.0)
-    x = np.maximum(sol.x[: ws.Z], _X_FLOOR)
+    x, _, _ = _cap_free_spectrum(ws, ws.pj2, p, budget)
     W0 = np.zeros((ws.Lz, ws.Z), complex)
     c = ws.leaks_of(x, W0) * (1.0 + 1e-9)
     p_new = ws.p_of(c)
@@ -458,21 +430,23 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
             else:
                 stalls = 0
             if abs(eta_prev - eta) / max(eta, 1e-12) < tol or stalls >= 2:
-                eta_prev = eta
+                status = "Converged"
                 break
         eta_prev = eta
+    else:
+        status = "MaxIterations"
 
     Sigma = state.Gamma.conj().T @ state.Gamma
     p = ws.p_of(state.c_tilde)
     report = make_report("alternating", pre, ch, params, p, Sigma,
-                         iterations=state.iteration, status="Converged")
+                         iterations=state.iteration, status=status)
     return state, report
 
 
 def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams):
     """High-power optimal design with the jammer-to-users channel treated
     as exactly zero: leaks vanish, so the minimal-norm factor at the
-    optimal spectrum is the answer. Returns (x, Gamma, eta)."""
+    optimal spectrum is the answer. Returns (x, Gamma, eta, status)."""
     feas = check_existence(pre, params)
     if not feas.feasible:
         raise Infeasible("QoS thresholds unattainable within the budget")
@@ -481,14 +455,6 @@ def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams):
     budget = params.p_tot - float(np.abs(p0).sum())
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    prog, eta_i, _ = _spectrum_program(ws, p0, budget, leak_caps=None, start=None)
-    n = prog.n_vars
-    v0 = np.empty(n)
-    v0[: ws.Z] = np.sqrt(0.5 * budget / (ws.Z * ws.pj2))
-    v0[eta_i] = 1.01 * float(np.max(p0 * ws.s_of(v0[: ws.Z]))) + 1e-12
-    prog = ConvexProgram(n_vars=n, objective=prog.objective, constraints=prog.constraints,
-                         strictly_feasible_point=v0)
-    sol = kernel.solve(prog, gap_ref=0.0)
-    x = np.maximum(sol.x[: ws.Z], _X_FLOOR)
+    x, eta, status = _cap_free_spectrum(ws, ws.pj2, p0, budget)
     Gamma = ws.gamma_of(x, np.zeros((ws.Lz, ws.Z), complex))
-    return x, Gamma, float(sol.objective_value)
+    return x, Gamma, eta, status

@@ -3,45 +3,13 @@ no jamming at all, and the many-antenna performance limit."""
 
 import numpy as np
 
-from . import kernel
 from .errors import Infeasible
 from .feasibility import optimal_power
-from .kernel import Box, ConvexProgram, LinearIneq, ReciprocalSum
 from .model import ChannelSet, Precoder, SystemParams
-from .optimal import build_sigma, compute_phi
+from .optimal import build_sigma, compute_phi, solve_spectrum
 from .report import SolveReport, make_report
 
 __all__ = ["solve_fixed_split", "no_jamming_report", "l_infinity_limit"]
-
-
-def _spectrum_linear_program(abs_a2, p, phi, budget, sigma2):
-    """min eta s.t. sum_j phi_j / x_j <= budget + sigma^2 sum phi,
-    p_k sum_j |a_kj|^2 x_j <= eta, 0 < x_j <= 1/sigma^2."""
-    Z = phi.shape[0]
-    K = abs_a2.shape[1]
-    n = Z + 1
-    cons = [
-        ReciprocalSum(
-            idx=np.arange(Z),
-            coeff=phi,
-            power=np.ones(Z),
-            a=np.zeros(n),
-            b=budget + sigma2 * float(phi.sum()),
-        )
-    ]
-    for k in range(K):
-        a = np.zeros(n)
-        a[:Z] = p[k] * abs_a2[:, k]
-        a[Z] = -1.0
-        cons.append(LinearIneq(a=a, b=0.0))
-    for j in range(Z):
-        cons.append(Box(idx=j, lo=1e-12, hi=1.0 / sigma2))
-    theta_min = sigma2 * float(phi.sum()) / (budget + sigma2 * float(phi.sum()))
-    v0 = np.empty(n)
-    v0[:Z] = 0.5 * (1.0 + theta_min) / sigma2
-    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
-    return ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons,
-                         strictly_feasible_point=v0)
 
 
 def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split=0.5):
@@ -49,7 +17,7 @@ def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split
     (which must fit in split * P_tot) and the jammer spends the remaining
     (1 - split) * P_tot regardless of what the transmitter left unused.
 
-    Returns (x, Gamma, Sigma, eta).
+    Returns (x, Gamma, Sigma, eta, status).
     """
     if not 0.0 < split < 1.0:
         raise ValueError("split must lie in (0, 1)")
@@ -60,21 +28,11 @@ def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split
             f"QoS allocation needs {p.sum():.6g} mW, over the transmitter share {bs_budget:.6g} mW"
         )
     jam_budget = (1.0 - split) * params.p_tot
-    sigma2 = params.sigma2
-    abs_a2 = np.abs(pre.A) ** 2
     phi = compute_phi(ch.G, ch.B)
-    if jam_budget <= 1e-12 * params.p_tot:
-        Z = params.z
-        x = np.full(Z, 1.0 / sigma2)
-        Sigma = np.zeros((params.l, params.l), complex)
-        Gamma = np.zeros((Z, params.l), complex)
-        eta = float(np.max(p * np.sum(abs_a2, axis=0) / sigma2))
-        return x, Gamma, Sigma, eta
-    prog = _spectrum_linear_program(abs_a2, p, phi, jam_budget, sigma2)
-    sol = kernel.solve(prog, gap_ref=0.0)
-    x = sol.x[: params.z].copy()
-    Gamma, Sigma = build_sigma(ch, x, sigma2)
-    return x, Gamma, Sigma, float(sol.objective_value)
+    x, eta, status, _ = solve_spectrum(np.abs(pre.A) ** 2, p, phi, jam_budget,
+                                       jam_budget + params.sigma2 * float(phi.sum()), params)
+    Gamma, Sigma = build_sigma(ch, x, params.sigma2)
+    return x, Gamma, Sigma, eta, status
 
 
 def no_jamming_report(pre: Precoder, ch: ChannelSet, params: SystemParams) -> SolveReport:
@@ -85,17 +43,13 @@ def no_jamming_report(pre: Precoder, ch: ChannelSet, params: SystemParams) -> So
                        status="Converged")
 
 
-def l_infinity_limit(pre: Precoder, ch: ChannelSet, params: SystemParams) -> float:
+def l_infinity_limit(pre: Precoder, ch: ChannelSet, params: SystemParams):
     """Large-jammer-array limit of the achievable eta: as the jammer grows
     its channels decorrelate and the per-direction jamming price tends to
-    1 / ||g_j||^2."""
+    1 / ||g_j||^2. Returns (eta, status)."""
     p = optimal_power(pre, params)
     phi = 1.0 / np.sum(np.abs(ch.G) ** 2, axis=0)
-    abs_a2 = np.abs(pre.A) ** 2
-    sigma2 = params.sigma2
     headroom = params.p_tot - float(p.sum())
-    if headroom <= 1e-12 * params.p_tot:
-        return float(np.max(p * np.sum(abs_a2, axis=0) / sigma2))
-    prog = _spectrum_linear_program(abs_a2, p, phi, headroom, sigma2)
-    sol = kernel.solve(prog, gap_ref=0.0)
-    return float(sol.objective_value)
+    _, eta, status, _ = solve_spectrum(np.abs(pre.A) ** 2, p, phi, headroom,
+                                       headroom + params.sigma2 * float(phi.sum()), params)
+    return eta, status

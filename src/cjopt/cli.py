@@ -12,11 +12,9 @@ import sys
 
 import numpy as np
 
-from .alternating import solve_alternating, solve_b_zero
-from .baselines import no_jamming_report, solve_fixed_split
+from .alternating import solve_alternating
 from .errors import CjoptError, Infeasible
-from .experiments import SOLVERS, SweepSpec, run_sweep, summarize, write_csv
-from .feasibility import optimal_power
+from .experiments import SOLVER_TABLE, SOLVERS, SweepSpec, run_sweep, summarize, write_csv
 from .model import (
     SystemParams,
     channel_inversion_precoder,
@@ -27,11 +25,13 @@ from .model import (
 )
 from .optimal import solve_optimal
 from .oracle import grid_oracle
-from .report import make_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+
+# Older hyphenated spellings accepted by `cjopt solve --solver`.
+SOLVER_ALIASES = {"fixed-split": "fixed_split", "no-jam": "no_jamming", "b-zero": "b_zero"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,7 +50,7 @@ def _build_parser():
     p_solve = sub.add_parser("solve", help="solve one random instance from a config")
     p_solve.add_argument("config")
     p_solve.add_argument("--solver", default="optimal",
-                         choices=["optimal", "alternating", "fixed-split", "no-jam", "b-zero"])
+                         choices=[*SOLVERS, *SOLVER_ALIASES])
     p_solve.add_argument("--seed", type=int, default=None,
                          help="channel seed (overrides config)")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
@@ -100,6 +100,8 @@ def _print_report(rep, params):
         print(f"secrecy LB (bits):   {rep.secrecy_lb}")
     print(f"iterations:  {rep.iterations}")
     used = rep.p.sum() + rep.sigma_trace
+    if np.isnan(used):  # a limit (l_inf_limit) has no design to check
+        return
     checks = {
         "power budget": used <= params.p_tot * (1.0 + 1e-6),
         "QoS thresholds": bool(np.all(rep.sinr_user >= params.tau * (1.0 - 1e-6))),
@@ -113,25 +115,9 @@ def cmd_solve(args):
     seed = extras["seed"] if args.seed is None else args.seed
     ch = generate_rayleigh(params, gain_db_b=extras["b_gain_db"], rng_seed=seed)
     pre = channel_inversion_precoder(ch, params.tau)
-    ch_design = ch
-    if extras["xi2"]:
-        ch_design = perturb_csi(ch, extras["xi2"], rng_seed=seed)
-    name = args.solver
-    if name == "optimal":
-        design = solve_optimal(pre, ch_design, params)
-        rep = make_report("optimal", pre, ch, params, design.p, design.Sigma,
-                          design.iterations, design.status)
-    elif name == "alternating":
-        _, rep = solve_alternating(pre, ch_design, params)
-    elif name == "fixed-split":
-        _, _, Sigma, _ = solve_fixed_split(pre, ch_design, params)
-        rep = make_report("fixed_split", pre, ch, params, optimal_power(pre, params), Sigma)
-    elif name == "no-jam":
-        rep = no_jamming_report(pre, ch, params)
-    else:  # b-zero
-        _, Gamma, _ = solve_b_zero(pre, ch_design, params)
-        rep = make_report("b_zero", pre, ch, params, optimal_power(pre, params),
-                          Gamma.conj().T @ Gamma)
+    ch_design = perturb_csi(ch, extras["xi2"], rng_seed=seed) if extras["xi2"] else ch
+    solver = SOLVER_ALIASES.get(args.solver, args.solver)
+    rep = SOLVER_TABLE[solver](pre, ch, ch_design, params)
     if args.json:
         print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
     else:

@@ -1,5 +1,9 @@
 """Monte Carlo sweep harness: vary one axis, rerun every requested solver
-on paired channel draws, and emit deterministic CSV."""
+on paired channel draws, and emit deterministic CSV.
+
+SOLVER_TABLE is the one place where a solver name is mapped to code; the
+sweep and `cjopt solve` both go through it.
+"""
 
 import zlib
 from dataclasses import dataclass, replace
@@ -8,14 +12,66 @@ import numpy as np
 
 from .alternating import solve_alternating, solve_b_zero
 from .baselines import l_infinity_limit, no_jamming_report, solve_fixed_split
+from .errors import CjoptError
 from .feasibility import check_existence, optimal_power
-from .model import ChannelSet, SystemParams, channel_inversion_precoder, generate_rayleigh, perturb_csi
+from .model import SystemParams, channel_inversion_precoder, generate_rayleigh, perturb_csi
 from .optimal import solve_optimal
-from .report import make_report
+from .report import SolveReport, make_report
 
-__all__ = ["SOLVERS", "SweepSpec", "SweepRow", "run_sweep", "summarize", "write_csv"]
+__all__ = ["SOLVER_TABLE", "SOLVERS", "SweepSpec", "SweepRow", "run_sweep", "summarize",
+           "write_csv"]
 
-SOLVERS = ("optimal", "alternating", "fixed_split", "no_jamming", "b_zero", "l_inf_limit")
+
+# Table entries design on ch_design (the jammer's possibly perturbed CSI)
+# and report on the true channels ch. They look solvers up by module-level
+# name at call time, so wrappers installed on those names see every call.
+
+def _optimal(pre, ch, ch_design, params):
+    d = solve_optimal(pre, ch_design, params)
+    return make_report("optimal", pre, ch, params, d.p, d.Sigma, d.iterations, d.status)
+
+
+def _alternating(pre, ch, ch_design, params):
+    state, rep = solve_alternating(pre, ch_design, params)
+    Sigma = state.Gamma.conj().T @ state.Gamma
+    return make_report("alternating", pre, ch, params, rep.p, Sigma, state.iteration, rep.status)
+
+
+def _fixed_split(pre, ch, ch_design, params):
+    _, _, Sigma, _, status = solve_fixed_split(pre, ch_design, params)
+    return make_report("fixed_split", pre, ch, params, optimal_power(pre, params), Sigma,
+                       status=status)
+
+
+def _no_jamming(pre, ch, ch_design, params):
+    return no_jamming_report(pre, ch, params)
+
+
+def _b_zero(pre, ch, ch_design, params):
+    _, Gamma, _, status = solve_b_zero(pre, ch_design, params)
+    return make_report("b_zero", pre, ch, params, optimal_power(pre, params),
+                       Gamma.conj().T @ Gamma, status=status)
+
+
+def _l_inf_limit(pre, ch, ch_design, params):
+    # A limit for an unbounded jammer array, not a design on these channels:
+    # only eta is known, the per-stream metrics are NaN.
+    eta, status = l_infinity_limit(pre, ch_design, params)
+    nan = np.full(params.k, np.nan)
+    return SolveReport(solver="l_inf_limit", status=status, p=optimal_power(pre, params),
+                       sigma_trace=np.nan, eta=eta, sinr_user=nan, sinr_eve_upper=nan,
+                       secrecy_lb=nan, iterations=0)
+
+
+SOLVER_TABLE = {
+    "optimal": _optimal,
+    "alternating": _alternating,
+    "fixed_split": _fixed_split,
+    "no_jamming": _no_jamming,
+    "b_zero": _b_zero,
+    "l_inf_limit": _l_inf_limit,
+}
+SOLVERS = tuple(SOLVER_TABLE)
 
 _AXES = ("Z", "P_tot", "tau", "L", "b_gain_db")
 
@@ -79,69 +135,25 @@ def _apply_axis(spec: SweepSpec, value):
     return params, gain
 
 
-def _run_solver(name, pre, ch, ch_design, params):
-    """Run one solver on (possibly perturbed) design channels, evaluate on
-    the true channels. Returns (eta, min_lb, mean_lb, iterations, status)."""
-    if name == "optimal":
-        design = solve_optimal(pre, ch_design, params)
-        rep = make_report(name, pre, ch, params, design.p, design.Sigma,
-                          design.iterations, design.status)
-    elif name == "alternating":
-        state, rep = solve_alternating(pre, ch_design, params)
-        if ch_design is not ch:
-            Sigma = state.Gamma.conj().T @ state.Gamma
-            rep = make_report(name, pre, ch, params, rep.p, Sigma,
-                              state.iteration, rep.status)
-    elif name == "fixed_split":
-        _, _, Sigma, _ = solve_fixed_split(pre, ch_design, params)
-        rep = make_report(name, pre, ch, params, optimal_power(pre, params), Sigma)
-    elif name == "no_jamming":
-        rep = no_jamming_report(pre, ch, params)
-    elif name == "b_zero":
-        _, Gamma, _ = solve_b_zero(pre, ch_design, params)
-        Sigma = Gamma.conj().T @ Gamma
-        rep = make_report(name, pre, ch, params, optimal_power(pre, params), Sigma)
-    else:  # l_inf_limit
-        eta = l_infinity_limit(pre, ch_design, params)
-        return eta, np.nan, np.nan, 0, "Converged"
-    return (
-        rep.eta,
-        float(np.min(rep.secrecy_lb)),
-        float(np.mean(rep.secrecy_lb)),
-        rep.iterations,
-        rep.status,
-    )
-
-
 def _run_trial(spec: SweepSpec, value, params, gain, trial):
     ts = trial_seed(spec.seed, value, trial)
-    results = {}
     try:
         ch = generate_rayleigh(params, gain_db_b=gain, rng_seed=ts)
         pre = channel_inversion_precoder(ch, params.tau)
-        feas = check_existence(pre, params).feasible
+        draw_status = None if check_existence(pre, params).feasible else "Infeasible"
         ch_design = perturb_csi(ch, spec.xi2, rng_seed=ts) if spec.xi2 else ch
-    except Exception as exc:
-        feas = False
-        results = {s: (np.nan, np.nan, np.nan, 0, type(exc).__name__)
-                   for s in spec.solvers}
-    if not results and not feas:
-        results = {s: (np.nan, np.nan, np.nan, 0, "Infeasible")
-                   for s in spec.solvers}
+    except (CjoptError, np.linalg.LinAlgError) as exc:
+        draw_status = type(exc).__name__
     rows = []
     for solver in spec.solvers:
-        if solver in results:
-            eta, lo, mean, iters, status = results[solver]
-            ok = False
-        else:
+        status, eta, lo, mean, iters, ok = draw_status, np.nan, np.nan, np.nan, 0, False
+        if status is None:
             try:
-                eta, lo, mean, iters, status = _run_solver(
-                    solver, pre, ch, ch_design, params
-                )
-                ok = True
-            except Exception as exc:
-                eta, lo, mean, iters, status = np.nan, np.nan, np.nan, 0, type(exc).__name__
-                ok = False
+                rep = SOLVER_TABLE[solver](pre, ch, ch_design, params)
+                status, eta, iters, ok = rep.status, rep.eta, rep.iterations, True
+                lo, mean = float(np.min(rep.secrecy_lb)), float(np.mean(rep.secrecy_lb))
+            except (CjoptError, np.linalg.LinAlgError) as exc:
+                status = type(exc).__name__
         rows.append(
             SweepRow(
                 axis=spec.axis,
@@ -150,8 +162,8 @@ def _run_trial(spec: SweepSpec, value, params, gain, trial):
                 trial_seed=ts,
                 feasible=ok,
                 eta=float(eta),
-                min_secrecy_lb=float(lo),
-                mean_secrecy_lb=float(mean),
+                min_secrecy_lb=lo,
+                mean_secrecy_lb=mean,
                 iterations=int(iters),
                 status=status,
             )

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleProgram, NumericalFailure, RankDeficient
+from .errors import InfeasibleProgram, NumericalFailure
 
 __all__ = [
     "LinearIneq",
@@ -24,7 +24,6 @@ __all__ = [
     "KernelSolution",
     "solve",
     "phase_one",
-    "gamma_nullspace_param",
 ]
 
 
@@ -370,22 +369,3 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
         return w[:n].copy()
     raise InfeasibleProgram(f"phase-one optimum {w[n]:.3e} is not strictly negative")
 
-
-def gamma_nullspace_param(G, B=None, target_diag=None):
-    """Particular solution and null-space basis for G^H Gamma^H = diag(target).
-
-    particular = G (G^H G)^{-1} diag(target_diag) satisfies the equality;
-    basis has orthonormal columns spanning null(G^H), so any
-    Gamma^H = particular + basis @ W keeps the equality for arbitrary W.
-    B is accepted for interface symmetry but does not enter the
-    parametrization. Raises RankDeficient if G loses full column rank.
-    """
-    G = np.asarray(G, dtype=np.complex128)
-    L, Z = G.shape
-    U, s, _ = np.linalg.svd(G, full_matrices=True)
-    if s.size < Z or s.min() <= 1e-12 * max(s.max(), 1e-300):
-        raise RankDeficient("G is not full column rank")
-    target = np.ones(Z) if target_diag is None else np.asarray(target_diag, dtype=float)
-    particular = G @ np.linalg.solve(G.conj().T @ G, np.diag(target).astype(np.complex128))
-    basis = U[:, Z:]
-    return {"particular": particular, "basis": basis}

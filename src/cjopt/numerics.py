@@ -1,8 +1,8 @@
 """Dense complex linear algebra helpers used by every other module.
 
 Complex matrices and vectors are plain ``numpy`` arrays with dtype
-``complex128``; these functions add the Hermitian checks, conditioning
-guards and the real-field embedding that the solvers rely on.
+``complex128``; these functions add the Hermitian checks and the
+conditioning guards that the solvers rely on.
 """
 
 import numpy as np
@@ -78,11 +78,3 @@ def psd_sqrt(A):
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.conj().T
 
-
-def complex_to_real_embedding(A):
-    """Standard [Re -Im; Im Re] block embedding of a complex matrix.
-
-    The embedding is a ring homomorphism: embed(A B) = embed(A) embed(B).
-    """
-    A = _as_complex(np.atleast_2d(A))
-    return np.block([[A.real, -A.imag], [A.imag, A.real]])

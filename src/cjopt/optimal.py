@@ -7,12 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import IllConditioned, RankDeficient
+from .errors import IllConditioned, NumericalFailure, RankDeficient
 from .feasibility import optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, ReciprocalSum
 from .model import ChannelSet, Precoder, SystemParams
 
-__all__ = ["OptimalDesign", "compute_phi", "solve_eq14", "build_sigma", "solve_optimal"]
+__all__ = ["OptimalDesign", "compute_phi", "solve_spectrum", "solve_eq14", "build_sigma",
+           "solve_optimal"]
 
 _HEADROOM_TOL = 1e-12
 
@@ -53,55 +54,60 @@ def compute_phi(G, B):
     return phi
 
 
-def solve_eq14(pre: Precoder, ch: ChannelSet, params: SystemParams, p_opt, phi=None):
-    """Minimize the largest per-stream SINR bound at Eve over the jamming
-    spectrum variables x (x_j = 1 / (sigma^2 + lambda_j)).
+def solve_spectrum(abs_a2, p, phi, headroom, b, params: SystemParams):
+    """The jamming-spectrum program shared by the optimal design and the
+    baselines: minimize eta over x (x_j = 1 / (sigma^2 + lambda_j)) s.t.
+
+        sum_j phi_j / x_j <= b,  p_k sum_j |a_kj|^2 x_j <= eta,  0 < x_j <= 1/sigma^2,
+
+    where b = headroom + sigma^2 sum_j phi_j is computed by the caller.
+    abs_a2 holds |a_kj|^2 at [j, k].
 
     Returns (x, eta, status, iterations). With zero power headroom the
     kernel is skipped and the no-jamming spectrum x = 1/sigma^2 is
     returned with status "NoJammingPower".
     """
-    p_opt = np.asarray(p_opt, dtype=float)
     sigma2 = params.sigma2
-    Z = params.z
-    if phi is None:
-        phi = compute_phi(ch.G, ch.B)
-    phi = np.asarray(phi, dtype=float)
-    abs_a2 = np.abs(pre.A) ** 2  # Z x K, |a_kj|^2 at [j, k]
-    headroom = params.p_tot - float(np.sum(p_opt))
+    Z = phi.shape[0]
     if headroom <= _HEADROOM_TOL * params.p_tot:
         x = np.full(Z, 1.0 / sigma2)
-        eta = float(np.max(p_opt * np.sum(abs_a2, axis=0) / sigma2))
+        eta = float(np.max(p * np.sum(abs_a2, axis=0) / sigma2))
         return x, eta, "NoJammingPower", 0
 
     n = Z + 1  # variables [x_1..x_Z, eta]
-    budget = params.p_tot + sigma2 * phi.sum() - float(np.sum(p_opt))
-    cons = [
-        ReciprocalSum(
-            idx=np.arange(Z),
-            coeff=phi,
-            power=np.ones(Z),
-            a=np.zeros(n),
-            b=budget,
-        )
-    ]
-    for k in range(params.k):
+    cons = [ReciprocalSum(idx=np.arange(Z), coeff=phi, power=np.ones(Z), a=np.zeros(n), b=b)]
+    for k in range(abs_a2.shape[1]):
         a = np.zeros(n)
-        a[:Z] = p_opt[k] * abs_a2[:, k]
+        a[:Z] = p[k] * abs_a2[:, k]
         a[Z] = -1.0
         cons.append(LinearIneq(a=a, b=0.0))
     for j in range(Z):
         cons.append(Box(idx=j, lo=1e-12, hi=1.0 / sigma2))
 
-    theta_min = sigma2 * phi.sum() / budget
-    theta = 0.5 * (1.0 + theta_min)
+    theta_min = sigma2 * phi.sum() / b
     v0 = np.empty(n)
-    v0[:Z] = theta / sigma2
-    v0[Z] = 1.01 * float(np.max(p_opt * (abs_a2.T @ v0[:Z]))) + 1e-12
+    v0[:Z] = 0.5 * (1.0 + theta_min) / sigma2
+    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
     prog = ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons,
                          strictly_feasible_point=v0)
     sol = kernel.solve(prog, gap_ref=0.0)
     return sol.x[:Z].copy(), float(sol.objective_value), sol.status, sol.iterations
+
+
+def solve_eq14(pre: Precoder, ch: ChannelSet, params: SystemParams, p_opt, phi=None):
+    """Minimize the largest per-stream SINR bound at Eve over the jamming
+    spectrum when the transmitter uses p_opt and the jammer the rest of
+    the budget (solve_spectrum with the exact prices phi).
+
+    Returns (x, eta, status, iterations).
+    """
+    p_opt = np.asarray(p_opt, dtype=float)
+    if phi is None:
+        phi = compute_phi(ch.G, ch.B)
+    phi = np.asarray(phi, dtype=float)
+    headroom = params.p_tot - float(np.sum(p_opt))
+    b = params.p_tot + params.sigma2 * phi.sum() - float(np.sum(p_opt))
+    return solve_spectrum(np.abs(pre.A) ** 2, p_opt, phi, headroom, b, params)
 
 
 def build_sigma(ch: ChannelSet, x, sigma2):
@@ -127,10 +133,12 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     rhs = np.vstack([np.diag(np.sqrt(lam)).astype(np.complex128), np.zeros((K, Z))])
     Gamma_H = joint @ np.linalg.solve(gram, rhs)  # L x Z
     Sigma = Gamma_H @ Gamma_H.conj().T
-    # Construction self-checks (the two defining equalities).
+    # Construction self-checks (the two defining equalities); NaN fails too.
     scale = max(np.abs(Gamma_H).max(), 1.0)
-    assert np.abs(ch.G.conj().T @ Gamma_H - np.diag(np.sqrt(lam))).max() <= 1e-9 * scale
-    assert np.abs(ch.B.conj().T @ Gamma_H).max() <= 1e-9 * scale
+    if not np.abs(ch.G.conj().T @ Gamma_H - np.diag(np.sqrt(lam))).max() <= 1e-9 * scale:
+        raise NumericalFailure("jamming factor misses G^H Gamma^H = Lambda^{1/2}")
+    if not np.abs(ch.B.conj().T @ Gamma_H).max() <= 1e-9 * scale:
+        raise NumericalFailure("jamming factor leaks into the users: B^H Gamma^H != 0")
     return Gamma_H.conj().T, Sigma
 
 

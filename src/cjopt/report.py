@@ -10,11 +10,14 @@ from .model import ChannelSet, Precoder, SystemParams
 __all__ = ["SolveReport", "make_report"]
 
 
+def _finite(v):
+    return float(v) if np.isfinite(v) else None
+
+
 @dataclass(frozen=True)
 class SolveReport:
     solver: str
     status: str
-    feasible: bool
     p: np.ndarray
     sigma_trace: float
     eta: float
@@ -28,15 +31,14 @@ class SolveReport:
             "schema": 1,
             "solver": self.solver,
             "status": self.status,
-            "feasible": self.feasible,
             "p_mw": [float(v) for v in self.p],
-            "tr_sigma_mw": float(self.sigma_trace),
+            "tr_sigma_mw": _finite(self.sigma_trace),
             "eta": float(self.eta),
             "eta_db": float(10.0 * np.log10(self.eta)) if self.eta > 0 else None,
             "sinr_eve_upper_db": [
                 float(10.0 * np.log10(v)) if v > 0 else None for v in self.sinr_eve_upper
             ],
-            "secrecy_lb_bits": [float(v) for v in self.secrecy_lb],
+            "secrecy_lb_bits": [_finite(v) for v in self.secrecy_lb],
             "iterations": self.iterations,
         }
 
@@ -49,7 +51,6 @@ def make_report(solver, pre: Precoder, ch: ChannelSet, params: SystemParams,
     return SolveReport(
         solver=solver,
         status=status,
-        feasible=True,
         p=np.asarray(p, dtype=float),
         sigma_trace=float(np.trace(Sigma).real),
         eta=float(np.max(m.sinr_eve_upper)),

@@ -195,7 +195,7 @@ class TestWeakCrossChannelConvergence:
                 if not check_existence(pre, params).feasible:
                     continue
                 state, rep = solve_alternating(pre, ch, params)
-                _, _, eta_bz = solve_b_zero(pre, ch, params)
+                _, _, eta_bz, _ = solve_b_zero(pre, ch, params)
                 gaps.append(abs(state.eta - eta_bz) / eta_bz)
             assert len(gaps) >= 45
             medians.append(float(np.median(gaps)))
@@ -271,7 +271,7 @@ class TestDesignInvariants:
     def test_fixed_split_designs(self):
         for seed in range(5):
             params, ch, pre = feasible_instance(seed)
-            _, _, Sigma, _ = solve_fixed_split(pre, ch, params)
+            _, _, Sigma, _, _ = solve_fixed_split(pre, ch, params)
             p = optimal_power(pre, params)
             self._check(p, Sigma, params)
 

@@ -3,14 +3,20 @@ import pytest
 
 from cjopt.alternating import (
     AlternatingState,
+    _AltWorkspace,
+    _step1,
+    _step2,
     solve_alternating,
     solve_b_zero,
-    step1_update_x,
-    step2_update_c,
 )
 from cjopt.errors import Infeasible
-from cjopt.feasibility import optimal_power
-from cjopt.model import SystemParams, precoder_from_unit_columns
+from cjopt.feasibility import check_existence, optimal_power
+from cjopt.model import (
+    SystemParams,
+    channel_inversion_precoder,
+    generate_rayleigh,
+    precoder_from_unit_columns,
+)
 from cjopt.optimal import solve_optimal
 from util import custom_channels, feasible_instance, make_instance
 
@@ -46,7 +52,7 @@ class TestStep1:
         params, ch, pre = _b_zero_scalar_setup(p_tot=20.0)
         p = optimal_power(pre, params)  # sigma^2 tau = 2
         state = _fresh_state(params, c_tilde=[1e-9], x=[1.0])
-        out = step1_update_x(state, pre, ch, params)
+        out = _step1(_AltWorkspace(pre, ch, params), state)
         head = params.p_tot - p[0]
         a2 = np.abs(pre.A[0, 0]) ** 2
         assert out.x[0] == pytest.approx(np.sqrt(head), rel=1e-5)
@@ -57,15 +63,16 @@ class TestStep1:
         # caps so large that the implied power allocation exceeds the budget
         state = _fresh_state(params, c_tilde=np.full(params.k, 10.0 * params.p_tot))
         with pytest.raises(Infeasible):
-            step1_update_x(state, pre, ch, params)
+            _step1(_AltWorkspace(pre, ch, params), state)
 
 
 class TestStep2:
     def test_b_zero_keeps_caps_at_zero(self):
         params, ch, pre = _b_zero_scalar_setup(p_tot=20.0)
         state = _fresh_state(params, c_tilde=[1e-9], x=[1.0])
-        state = step1_update_x(state, pre, ch, params)
-        out = step2_update_c(state, pre, ch, params)
+        ws = _AltWorkspace(pre, ch, params)
+        state = _step1(ws, state)
+        out = _step2(ws, state)
         assert out.c_tilde[0] <= 1e-6
         assert out.eta <= state.eta + 1e-9
 
@@ -73,7 +80,7 @@ class TestStep2:
         for seed in range(5):
             params, ch, pre = feasible_instance(seed, l=4)  # L < K + Z
             state, _ = solve_alternating(pre, ch, params, max_iters=2)
-            out = step2_update_c(state, pre, ch, params)
+            out = _step2(_AltWorkspace(pre, ch, params), state)
             assert out.eta <= state.eta * (1.0 + 1e-9)
 
     def test_leakage_unavoidable_below_rank(self):
@@ -117,12 +124,24 @@ class TestSolveAlternating:
         with pytest.raises(Infeasible):
             solve_alternating(pre, ch, params)
 
+    def test_iteration_cap_is_not_converged(self):
+        # Leaky regime (L < K + Z) with a weak cross channel: one outer
+        # iteration is far from settled, so the cap, not tol, stops it.
+        params = SystemParams(n=10, k=3, l=17, z=15, sigma2=1.0, tau=10 ** 0.3, p_tot=1e4)
+        ch = generate_rayleigh(params, gain_db_b=-30.0, rng_seed=2)
+        pre = channel_inversion_precoder(ch, params.tau)
+        assert check_existence(pre, params).feasible
+        state, rep = solve_alternating(pre, ch, params, max_iters=1)
+        assert state.iteration == 1
+        assert rep.status == "MaxIterations"
+
 
 class TestSolveBZero:
     def test_scalar_closed_form(self):
         params, ch, pre = _b_zero_scalar_setup(p_tot=20.0)
         p = optimal_power(pre, params)
-        x, Gamma, eta = solve_b_zero(pre, ch, params)
+        x, Gamma, eta, status = solve_b_zero(pre, ch, params)
+        assert status == "Converged"
         head = params.p_tot - p[0]
         a2 = np.abs(pre.A[0, 0]) ** 2
         assert x[0] == pytest.approx(np.sqrt(head), rel=1e-5)
@@ -130,16 +149,16 @@ class TestSolveBZero:
 
     def test_objective_homogeneous_in_eve_gains(self):
         params, ch, pre = feasible_instance(2)
-        _, _, eta = solve_b_zero(pre, ch, params)
+        _, _, eta, _ = solve_b_zero(pre, ch, params)
         pre2 = precoder_from_unit_columns(pre.U, custom_channels(ch.F, 2.0 * ch.H, ch.B, ch.G),
                                           params.tau)
-        _, _, eta2 = solve_b_zero(pre2, ch, params)
+        _, _, eta2, _ = solve_b_zero(pre2, ch, params)
         assert eta2 == pytest.approx(4.0 * eta, rel=1e-5)
 
     def test_matches_step1_without_leakage(self):
         params, ch, pre = _b_zero_scalar_setup(p_tot=30.0)
-        x, _, eta = solve_b_zero(pre, ch, params)
+        x, _, eta, _ = solve_b_zero(pre, ch, params)
         state = _fresh_state(params, c_tilde=[1e-12], x=[1.0])
-        out = step1_update_x(state, pre, ch, params)
+        out = _step1(_AltWorkspace(pre, ch, params), state)
         assert out.x[0] == pytest.approx(x[0], rel=1e-5)
         assert out.eta == pytest.approx(eta, rel=1e-5)

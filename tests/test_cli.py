@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from cjopt.alternating import solve_alternating
 from cjopt.cli import main
+from cjopt.experiments import SOLVERS
+from cjopt.model import channel_inversion_precoder, generate_rayleigh, load_config, perturb_csi
+from cjopt.report import make_report
 
 GOOD_CONFIG = """\
 n = 8
@@ -41,6 +45,12 @@ class TestSolve:
         for solver in ("optimal", "alternating", "fixed-split", "no-jam", "b-zero"):
             assert main(["solve", config, "--solver", solver]) == 0
 
+    def test_table_names_give_strict_json(self, config, capsys):
+        for solver in SOLVERS:
+            assert main(["solve", config, "--solver", solver, "--json"]) == 0
+            rep = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+            assert rep["solver"] == solver and rep["eta"] > 0
+
     def test_infeasible_exit_code(self, infeasible_config, capsys):
         assert main(["solve", infeasible_config]) == 2
         assert "infeasible" in capsys.readouterr().err
@@ -52,6 +62,23 @@ class TestSolve:
         assert rep["status"] == "Converged"
         assert len(rep["p_mw"]) == 3
         assert rep["eta"] > 0
+
+    def test_csi_error_reports_on_true_channels(self, tmp_path, capsys):
+        # The jammer designs on perturbed channels; the reported eta must be
+        # the one the users and Eve see on the true channels.
+        path = tmp_path / "xi.cfg"
+        path.write_text(GOOD_CONFIG + "xi2_db = -10\n")
+        assert main(["solve", str(path), "--solver", "alternating", "--json"]) == 0
+        eta = json.loads(capsys.readouterr().out)["eta"]
+        params, extras = load_config(str(path))
+        ch = generate_rayleigh(params, gain_db_b=extras["b_gain_db"], rng_seed=extras["seed"])
+        pre = channel_inversion_precoder(ch, params.tau)
+        ch_design = perturb_csi(ch, extras["xi2"], rng_seed=extras["seed"])
+        state, rep_design = solve_alternating(pre, ch_design, params)
+        Sigma = state.Gamma.conj().T @ state.Gamma
+        want = make_report("alternating", pre, ch, params, rep_design.p, Sigma).eta
+        assert eta == pytest.approx(want, rel=1e-12)
+        assert abs(eta - rep_design.eta) > 1e-3 * want
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.cfg")]) == 1

@@ -1,8 +1,10 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cjopt import experiments, kernel
 from cjopt.experiments import (
     SOLVERS,
     SweepRow,
@@ -74,6 +76,26 @@ class TestRunSweep:
         assert len(rows) == 2 * len(SOLVERS)
         for r in rows:
             assert r.feasible, (r.solver, r.status)
+
+    def test_kernel_status_reaches_rows(self, monkeypatch):
+        real_solve = kernel.solve
+
+        def capped(*args, **kwargs):
+            return replace(real_solve(*args, **kwargs), status="MaxIterations")
+
+        monkeypatch.setattr(kernel, "solve", capped)
+        solvers = ("optimal", "fixed_split", "b_zero", "l_inf_limit")
+        rows = run_sweep(_spec(axis="P_tot", axis_values=(100.0,), trials=1, solvers=solvers))
+        assert [r.solver for r in rows] == list(solvers)
+        assert all(r.feasible and r.status == "MaxIterations" for r in rows)
+
+    def test_programming_errors_escape(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside a solver")
+
+        monkeypatch.setattr(experiments, "solve_optimal", broken)
+        with pytest.raises(TypeError):
+            run_sweep(_spec(trials=1))
 
     def test_infeasible_trials_are_recorded(self):
         tight = SystemParams(n=8, k=3, l=6, z=2, sigma2=1.0, tau=1e6, p_tot=1.0)

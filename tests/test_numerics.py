@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from cjopt.errors import IllConditioned, NotHermitian, NotPSD
-from cjopt.numerics import (
-    check_hermitian,
-    complex_to_real_embedding,
-    eig_hermitian,
-    hermitian_solve,
-    psd_sqrt,
-)
+from cjopt.numerics import check_hermitian, eig_hermitian, hermitian_solve, psd_sqrt
 
 
 def _rng(seed):
@@ -87,28 +81,7 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([1.0, -1.0]))
 
 
-class TestRealEmbedding:
-    def test_scalar_i(self):
-        assert np.array_equal(
-            complex_to_real_embedding(np.array([[1j]])), np.array([[0.0, -1.0], [1.0, 0.0]])
-        )
-
-    def test_real_matrix_block_pattern(self):
-        A = np.array([[1.0, 2.0], [3.0, 4.0]])
-        E = complex_to_real_embedding(A)
-        assert np.array_equal(E[:2, :2], A)
-        assert np.array_equal(E[2:, 2:], A)
-        assert np.all(E[:2, 2:] == 0) and np.all(E[2:, :2] == 0)
-
-    def test_product_identity(self):
-        for seed in range(10):
-            rng = _rng(seed)
-            A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            lhs = complex_to_real_embedding(A @ B)
-            rhs = complex_to_real_embedding(A) @ complex_to_real_embedding(B)
-            assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
-
+class TestCheckHermitian:
     def test_check_hermitian_accepts_and_rejects(self):
         check_hermitian(np.eye(2))
         with pytest.raises(NotHermitian):
