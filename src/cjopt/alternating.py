@@ -69,6 +69,7 @@ class _AltWorkspace:
         self.Nb = self.N.conj().T @ ch.B  # (L - Z) x K
         self.nw = 2 * self.Lz * self.Z  # real scalars in the W embedding
         self.delta_colsum = self.Mdelta.sum(axis=0)
+        self.kernel_status = "Converged"  # MaxIterations once any block solve ran out
 
     def p_of(self, c_tilde):
         return self.Mdelta @ (np.asarray(c_tilde, dtype=float) + self.sigma2)
@@ -131,6 +132,15 @@ class _AltWorkspace:
         return M, d
 
 
+def _block_solve(ws: _AltWorkspace, prog):
+    """Kernel solve of one block program (relative stop); a MaxIterations
+    status is kept in ws.kernel_status."""
+    sol = kernel.solve(prog, gap_ref=0.0)
+    if sol.status != "Converged":
+        ws.kernel_status = sol.status
+    return sol
+
+
 def _unit(n, i):
     e = np.zeros(n)
     e[i] = 1.0
@@ -177,12 +187,12 @@ def _spectrum_program(ws: _AltWorkspace, pj2, p, budget, start, leak_caps=None):
 
 def _cap_free_spectrum(ws: _AltWorkspace, pj2, p, budget):
     """Spectrum block without leak caps (W = 0), started at an equal split
-    of the trace budget. Returns (x, eta, kernel status)."""
+    of the trace budget. Returns (x, eta)."""
     v0 = np.empty(ws.Z + 1)
     v0[: ws.Z] = np.sqrt(0.5 * budget / (ws.Z * pj2))
     v0[ws.Z] = 1.01 * float(np.max(p * ws.s_of(v0[: ws.Z]))) + 1e-12
-    sol = kernel.solve(_spectrum_program(ws, pj2, p, budget, v0), gap_ref=0.0)
-    return np.maximum(sol.x[: ws.Z], _X_FLOOR), float(sol.objective_value), sol.status
+    sol = _block_solve(ws, _spectrum_program(ws, pj2, p, budget, v0))
+    return np.maximum(sol.x[: ws.Z], _X_FLOOR), float(sol.objective_value)
 
 
 def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
@@ -194,7 +204,7 @@ def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
     budget = ws.params.p_tot - float(p.sum())
     prog = _spectrum_program(ws, ws.pj2, p, budget, _step1_start(ws, state, budget),
                              leak_caps=state.c_tilde)
-    sol = kernel.solve(prog, gap_ref=0.0)
+    sol = _block_solve(ws, prog)
     x_new = np.maximum(sol.x[: ws.Z], _X_FLOOR)
     W_new = ws.w_from_flat(sol.x[ws.Z : ws.Z + ws.nw]) if ws.Lz else np.zeros((ws.Lz, ws.Z), complex)
     # Monotone safeguard: the incumbent block value is always feasible.
@@ -238,7 +248,7 @@ def _step1_zero_forcing(ws: _AltWorkspace, ch: ChannelSet, state: AlternatingSta
     joint = np.hstack([ch.G, ch.B])
     gram = joint.conj().T @ joint
     S = (joint @ np.linalg.inv(gram))[:, : ws.Z]  # columns scale with x_j
-    x_new, _, _ = _cap_free_spectrum(ws, np.sum(np.abs(S) ** 2, axis=0), p, budget)
+    x_new, _ = _cap_free_spectrum(ws, np.sum(np.abs(S) ** 2, axis=0), p, budget)
     gamma_h = S @ np.diag(x_new).astype(np.complex128)
     W_new = ws.N.conj().T @ gamma_h if ws.Lz else np.zeros((0, ws.Z), complex)
     return dc_replace(
@@ -294,7 +304,7 @@ def _step2(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
         constraints=cons,
         strictly_feasible_point=_step2_start(ws, state, n, tx),
     )
-    sol = kernel.solve(prog, gap_ref=0.0)
+    sol = _block_solve(ws, prog)
     c_new = np.maximum(sol.x[:K], 0.0)
     W_new = ws.w_from_flat(sol.x[w_off : w_off + nw]) if ws.Lz else np.zeros((0, Z), complex)
     if ws.eta_eval(c_new, x) > ws.eta_eval(state.c_tilde, x):
@@ -347,7 +357,7 @@ def _leak_probe(ws: _AltWorkspace, state: AlternatingState):
     # Shave the trace budget a little so the leakage charged back after the
     # solve still fits the total power budget.
     budget *= 1.0 - 1e-6
-    x, _, _ = _cap_free_spectrum(ws, ws.pj2, p, budget)
+    x, _ = _cap_free_spectrum(ws, ws.pj2, p, budget)
     W0 = np.zeros((ws.Lz, ws.Z), complex)
     c = ws.leaks_of(x, W0) * (1.0 + 1e-9)
     p_new = ws.p_of(c)
@@ -435,6 +445,8 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
         eta_prev = eta
     else:
         status = "MaxIterations"
+    if status == "Converged":
+        status = ws.kernel_status
 
     Sigma = state.Gamma.conj().T @ state.Gamma
     p = ws.p_of(state.c_tilde)
@@ -455,6 +467,6 @@ def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams):
     budget = params.p_tot - float(np.abs(p0).sum())
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    x, eta, status = _cap_free_spectrum(ws, ws.pj2, p0, budget)
+    x, eta = _cap_free_spectrum(ws, ws.pj2, p0, budget)
     Gamma = ws.gamma_of(x, np.zeros((ws.Lz, ws.Z), complex))
-    return x, Gamma, eta, status
+    return x, Gamma, eta, ws.kernel_status

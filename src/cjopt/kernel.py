@@ -2,10 +2,21 @@
 
 The five convex programs of the artifact all reduce to a linear objective
 under a closed set of convex constraint kinds (linear, reciprocal-sum,
-convex-quadratic, box). Complex decision matrices enter through their
-real embedding before a program is assembled, so the kernel itself is
-purely real. Robustness is favoured over speed: the programs have at most
-a few hundred real variables.
+convex-quadratic, box), given as the plain dataclasses below. Complex
+decision matrices enter through their real embedding before a program is
+assembled, so the kernel itself is purely real.
+
+``solve`` and ``phase_one`` compile a program once into one stacked form
+(``_Stacked``). Every barrier term i reads
+
+    g_i(v) = A_i . v - b_i + sum_t coeff_t / v[var_t]**power_t + ||M_i v + d_i||^2
+
+where one dense (A, b) holds the linear part of every constraint (a box
+gives one row per finite bound, as in ``ConvexProgram.atoms``), flat
+(row, var, coeff, power) arrays hold the reciprocal terms, and the
+quadratic maps M_i are stacked with 2 M_i^T M_i computed once. One
+evaluator then gives g, its Jacobian and the weighted Hessian sum of the
+whole program in a few array passes.
 """
 
 from dataclasses import dataclass, field
@@ -15,16 +26,8 @@ import numpy as np
 
 from .errors import InfeasibleProgram, NumericalFailure
 
-__all__ = [
-    "LinearIneq",
-    "Box",
-    "ReciprocalSum",
-    "Quadratic",
-    "ConvexProgram",
-    "KernelSolution",
-    "solve",
-    "phase_one",
-]
+__all__ = ["LinearIneq", "Box", "ReciprocalSum", "Quadratic", "ConvexProgram", "KernelSolution",
+           "solve", "phase_one"]
 
 
 @dataclass(frozen=True)
@@ -34,21 +37,6 @@ class LinearIneq:
     a: np.ndarray
     b: float
 
-    def value(self, v):
-        return float(self.a @ v) - self.b
-
-    def grad(self, v):
-        return self.a
-
-    def hess(self, v):
-        return None
-
-    def domain_ok(self, v):
-        return True
-
-    def scale(self):
-        return 1.0 + abs(self.b)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -57,18 +45,6 @@ class Box:
     idx: int
     lo: float = -np.inf
     hi: float = np.inf
-
-    def as_linear(self, n):
-        out = []
-        if np.isfinite(self.lo):
-            a = np.zeros(n)
-            a[self.idx] = -1.0
-            out.append(LinearIneq(a=a, b=-self.lo))
-        if np.isfinite(self.hi):
-            a = np.zeros(n)
-            a[self.idx] = 1.0
-            out.append(LinearIneq(a=a, b=self.hi))
-        return out
 
 
 @dataclass(frozen=True)
@@ -85,29 +61,6 @@ class ReciprocalSum:
     a: np.ndarray
     b: float
 
-    def domain_ok(self, v):
-        return bool(np.all(v[self.idx] > 0.0))
-
-    def value(self, v):
-        x = v[self.idx]
-        return float(np.sum(self.coeff / x**self.power) + self.a @ v) - self.b
-
-    def grad(self, v):
-        g = self.a.copy()
-        x = v[self.idx]
-        np.add.at(g, self.idx, -self.power * self.coeff / x ** (self.power + 1))
-        return g
-
-    def hess(self, v):
-        H = np.zeros((v.size, v.size))
-        x = v[self.idx]
-        d = self.power * (self.power + 1) * self.coeff / x ** (self.power + 2)
-        np.add.at(H, (self.idx, self.idx), d)
-        return H
-
-    def scale(self):
-        return 1.0 + abs(self.b)
-
 
 @dataclass(frozen=True)
 class Quadratic:
@@ -118,21 +71,10 @@ class Quadratic:
     a: np.ndarray
     b: float
 
-    def domain_ok(self, v):
-        return True
 
-    def value(self, v):
-        r = self.M @ v + self.d
-        return float(r @ r + self.a @ v) - self.b
-
-    def grad(self, v):
-        return 2.0 * (self.M.T @ (self.M @ v + self.d)) + self.a
-
-    def hess(self, v):
-        return 2.0 * (self.M.T @ self.M)
-
-    def scale(self):
-        return 1.0 + abs(self.b)
+def _box_rows(box):
+    """(sign, bound) for each finite side of a box: sign * v[idx] <= bound."""
+    return [(s, s * lim) for s, lim in ((-1.0, box.lo), (1.0, box.hi)) if np.isfinite(lim)]
 
 
 @dataclass(frozen=True)
@@ -144,11 +86,12 @@ class ConvexProgram:
 
     def atoms(self):
         """Expand boxes into scalar linear inequalities; one barrier term
-        per returned atom."""
+        per returned atom, in the row order of the compiled form."""
         out = []
         for c in self.constraints:
             if isinstance(c, Box):
-                out.extend(c.as_linear(self.n_vars))
+                out.extend(LinearIneq(a=np.where(np.arange(self.n_vars) == c.idx, s, 0.0), b=b)
+                           for s, b in _box_rows(c))
             else:
                 out.append(c)
         return out
@@ -160,43 +103,109 @@ class KernelSolution:
     objective_value: float
     kkt_residual: float
     iterations: int
-    status: str  # Converged | MaxIterations | NumericalFailure
+    status: str  # Converged | MaxIterations
     path_objectives: list = field(default_factory=list)
 
 
 _STRICT_MARGIN = 1e-9
 
 
-def _is_strictly_feasible(atoms, v, margin=0.0):
-    for c in atoms:
-        if not c.domain_ok(v):
-            return False
-        g = c.value(v)
-        if not np.isfinite(g) or g >= -margin * c.scale():
-            return False
-    return True
+class _Stacked:
+    """A ConvexProgram compiled into arrays (see the module docstring).
+
+    With ``slack_box`` (phase one) the program gains the slack s = v[n_vars]
+    with that box's bounds, and every non-box row g_i(v) <= 0 becomes
+    g_i(v) - s <= 0: a -1 in the slack column of A, 0 on box rows, and a
+    zero slack column on each M.
+    """
+
+    def __init__(self, prog: ConvexProgram, slack_box=None):
+        n0 = prog.n_vars
+        cons = list(prog.constraints) + ([slack_box] if slack_box is not None else [])
+        n = n0 + (slack_box is not None)
+        A, b, box, rec, quads = [], [], [], [], []  # rec: (row, var, coeff, power) per term
+        for c in cons:
+            if isinstance(c, Box):
+                for s, bound in _box_rows(c):
+                    A.append(np.where(np.arange(n) == c.idx, s, 0.0))
+                    b.append(bound)
+                    box.append(True)
+                continue
+            if isinstance(c, ReciprocalSum):
+                rec.extend((len(b), j, cf, pw) for j, cf, pw in zip(c.idx, c.coeff, c.power))
+            elif isinstance(c, Quadratic):
+                quads.append((len(b), np.pad(c.M, ((0, 0), (0, n - n0))), np.asarray(c.d, dtype=float)))
+            elif not isinstance(c, LinearIneq):
+                raise TypeError(f"unsupported constraint kind {type(c).__name__}")
+            A.append(np.pad(np.asarray(c.a, dtype=float), (0, n - n0)))
+            b.append(c.b)
+            box.append(False)
+        self.m, self.n = len(b), n
+        self.A = np.array(A, dtype=float).reshape(self.m, n)
+        self.b = np.array(b, dtype=float)
+        self.box = np.array(box, dtype=bool)
+        self.A[~self.box, n0:] = -1.0  # the slack column, if there is one
+        rec = np.array(rec, dtype=float).reshape(-1, 4).T.copy()
+        self.r_row, self.r_var = rec[:2].astype(int)
+        self.r_coeff, self.r_pow = rec[2:]
+        self.q_rows = np.array([q[0] for q in quads], dtype=int)
+        self.M = np.vstack([q[1] for q in quads] + [np.zeros((0, n))])
+        self.d = np.concatenate([q[2] for q in quads] + [np.zeros(0)])
+        # Q groups the stacked rows of M by quadratic: (Q @ (r * r))_j = ||M_j v + d_j||^2.
+        owner = np.repeat(np.arange(len(quads)), [q[1].shape[0] for q in quads])
+        self.Q = (np.arange(len(quads))[:, None] == owner).astype(float)
+        self.H2 = np.array([2.0 * (M.T @ M) for _, M, _ in quads]).reshape(len(quads), n, n)
+
+    def g(self, v):
+        """Every g_i(v), or None outside the domain (a reciprocal variable <= 0)."""
+        x = v[self.r_var]
+        if np.any(x <= 0.0):
+            return None
+        g = self.A @ v - self.b
+        g += np.bincount(self.r_row, self.r_coeff / x**self.r_pow, minlength=self.m)
+        g[self.q_rows] += self.Q @ (self.M @ v + self.d) ** 2
+        return g
+
+    def interior(self, v, margin=0.0):
+        """g(v) if every g_i(v) < -margin * (1 + |b_i|), else None."""
+        g = self.g(v)
+        if g is None or not np.all(np.isfinite(g) & (g < -margin * (1.0 + np.abs(self.b)))):
+            return None
+        return g
+
+    def jac(self, v):
+        """The m x n Jacobian of g at v (inside the domain)."""
+        x = v[self.r_var]
+        J = self.A.copy()
+        J[self.q_rows] += 2.0 * (self.Q * (self.M @ v + self.d)) @ self.M
+        np.add.at(J, (self.r_row, self.r_var), -self.r_pow * self.r_coeff / x ** (self.r_pow + 1))
+        return J
+
+    def hess(self, v, w):
+        """sum_i w_i * (Hessian of g_i at v)."""
+        x = v[self.r_var]
+        curv = self.r_pow * (self.r_pow + 1) * self.r_coeff / x ** (self.r_pow + 2)
+        H = np.tensordot(w[self.q_rows], self.H2, axes=1)
+        H[np.diag_indices(self.n)] += np.bincount(self.r_var, w[self.r_row] * curv, minlength=self.n)
+        return H
 
 
-def _center(atoms, c_obj, t, v, max_newton=100, dec_tol=1e-10):
-    """Damped Newton on t * c.v - sum log(-g_i(v)). Returns (v, converged,
-    newton_steps)."""
-    n = v.size
+def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
+    """Damped Newton on t * c.v - sum log(-g_i(v)) from an interior v.
+    Returns (v, converged, newton_steps)."""
+    def barrier(v, g):
+        return t * float(c_obj @ v) - float(np.sum(np.log(-g)))
+
+    g = S.g(v)
     for step in range(max_newton):
-        grad = t * c_obj.copy()
-        H = np.zeros((n, n))
-        for con in atoms:
-            g = con.value(v)
-            dg = con.grad(v)
-            inv = 1.0 / (-g)
-            grad += dg * inv
-            H += np.outer(dg, dg) * inv * inv
-            hg = con.hess(v)
-            if hg is not None:
-                H += hg * inv
+        inv = 1.0 / (-g)
+        J = S.jac(v)
+        grad = t * c_obj + J.T @ inv
+        H = (J.T * (inv * inv)) @ J + S.hess(v, inv)
         reg = 0.0
         while True:
             try:
-                dx = np.linalg.solve(H + reg * np.eye(n), -grad)
+                dx = np.linalg.solve(H + reg * np.eye(S.n), -grad)
                 if np.all(np.isfinite(dx)):
                     break
             except np.linalg.LinAlgError:
@@ -205,7 +214,7 @@ def _center(atoms, c_obj, t, v, max_newton=100, dec_tol=1e-10):
             if reg > 1e6:
                 raise NumericalFailure("Newton system unsolvable after regularization")
         dec2 = float(-grad @ dx)
-        f0 = _barrier_value(atoms, c_obj, t, v)
+        f0 = barrier(v, g)
         # The decrement is resolution-limited by rounding in f itself once
         # t * |objective| is large, so the tolerance follows |f|.
         stall_tol = max(dec_tol, 1e-12 * abs(f0))
@@ -215,34 +224,15 @@ def _center(atoms, c_obj, t, v, max_newton=100, dec_tol=1e-10):
         alpha = 1.0
         while alpha > 1e-14:
             v_new = v + alpha * dx
-            f1 = _barrier_value(atoms, c_obj, t, v_new)
-            if f1 is not None and f1 <= f0 - 0.25 * alpha * dec2:
-                v = v_new
+            g_new = S.interior(v_new)
+            if g_new is not None and barrier(v_new, g_new) <= f0 - 0.25 * alpha * dec2:
+                v, g = v_new, g_new
                 break
             alpha *= 0.5
         else:
             # No descent possible; report whatever centering we achieved.
             return v, dec2 / 2.0 <= max(1e-6, 1e-9 * abs(f0)), step
     return v, False, max_newton
-
-
-def _barrier_value(atoms, c_obj, t, v):
-    total = t * float(c_obj @ v)
-    for con in atoms:
-        if not con.domain_ok(v):
-            return None
-        g = con.value(v)
-        if not np.isfinite(g) or g >= 0.0:
-            return None
-        total -= np.log(-g)
-    return total
-
-
-def _kkt_residual(atoms, c_obj, t, v):
-    r = t * c_obj.copy()
-    for con in atoms:
-        r += con.grad(v) / (-con.value(v))
-    return float(np.abs(r).max() / (t * max(1.0, np.abs(c_obj).max())))
 
 
 def solve(prog: ConvexProgram, t0=1.0, mu=10.0, gap_tol=1e-9, max_outer=40,
@@ -252,11 +242,10 @@ def solve(prog: ConvexProgram, t0=1.0, mu=10.0, gap_tol=1e-9, max_outer=40,
     gap_tol * (gap_ref + |objective|). gap_ref=0 gives a purely relative
     stop for problems whose optimal value can be many orders of magnitude
     below 1 (it must then be strictly nonzero)."""
-    atoms = prog.atoms()
-    m = len(atoms)
+    S = _Stacked(prog)
     c_obj = np.asarray(prog.objective, dtype=float)
     v = prog.strictly_feasible_point
-    if v is None or not _is_strictly_feasible(atoms, np.asarray(v, dtype=float)):
+    if v is None or S.interior(np.asarray(v, dtype=float)) is None:
         v = phase_one(prog)
     v = np.asarray(v, dtype=float).copy()
 
@@ -265,25 +254,20 @@ def solve(prog: ConvexProgram, t0=1.0, mu=10.0, gap_tol=1e-9, max_outer=40,
     path = []
     centered = True
     for _ in range(max_outer):
-        v, centered, steps = _center(atoms, c_obj, t, v)
+        v, centered, steps = _center(S, c_obj, t, v)
         total_steps += steps
         obj = float(c_obj @ v)
         path.append(obj)
-        if m / t <= gap_tol * (gap_ref + abs(obj)):
+        if S.m / t <= gap_tol * (gap_ref + abs(obj)):  # S.m = len(prog.atoms())
             break
         t *= mu
     else:
         obj = float(c_obj @ v)
 
-    status = "Converged" if (centered and m / t <= gap_tol * (gap_ref + abs(obj))) else "MaxIterations"
-    return KernelSolution(
-        x=v,
-        objective_value=obj,
-        kkt_residual=_kkt_residual(atoms, c_obj, t, v),
-        iterations=total_steps,
-        status=status,
-        path_objectives=path,
-    )
+    status = "Converged" if (centered and S.m / t <= gap_tol * (gap_ref + abs(obj))) else "MaxIterations"
+    kkt = np.abs(t * c_obj + S.jac(v).T @ (1.0 / -S.g(v))).max() / (t * max(1.0, np.abs(c_obj).max()))
+    return KernelSolution(x=v, objective_value=obj, kkt_residual=float(kkt),
+                          iterations=total_steps, status=status, path_objectives=path)
 
 
 def _phase_one_start(prog: ConvexProgram):
@@ -310,19 +294,6 @@ def _phase_one_start(prog: ConvexProgram):
     return v
 
 
-def _augment_with_slack(con, n):
-    """Rewrite g(v) <= 0 as g(v) - s <= 0 over (v, s)."""
-    a = np.append(con.a, -1.0)
-    if isinstance(con, LinearIneq):
-        return LinearIneq(a=a, b=con.b)
-    if isinstance(con, ReciprocalSum):
-        return ReciprocalSum(idx=con.idx, coeff=con.coeff, power=con.power, a=a, b=con.b)
-    if isinstance(con, Quadratic):
-        M = np.hstack([con.M, np.zeros((con.M.shape[0], 1))])
-        return Quadratic(M=M, d=con.d, a=a, b=con.b)
-    raise TypeError(f"unsupported constraint kind {type(con).__name__}")
-
-
 def phase_one(prog: ConvexProgram) -> np.ndarray:
     """Return a strictly feasible point or raise InfeasibleProgram.
 
@@ -331,41 +302,29 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     has strictly negative slack.
     """
     n = prog.n_vars
+    S = _Stacked(prog)
     v0 = _phase_one_start(prog)
-    hard = []  # box-derived atoms over (v, s)
-    soft = []  # slack-augmented atoms
-    for c in prog.constraints:
-        if isinstance(c, Box):
-            for lin in c.as_linear(n):
-                hard.append(LinearIneq(a=np.append(lin.a, 0.0), b=lin.b))
-        else:
-            soft.append(_augment_with_slack(c, n))
-
-    def strictly_ok(v):
-        return _is_strictly_feasible(prog.atoms(), v, margin=_STRICT_MARGIN)
-
-    if strictly_ok(v0):
+    if S.interior(v0, _STRICT_MARGIN) is not None:
         return v0
 
-    s0 = max(c.value(np.append(v0, 0.0)) for c in soft) if soft else -1.0
+    g0 = S.g(v0)  # None only outside the domain, where w below is not interior either
+    s0 = -1.0 if g0 is None else max(g0[~S.box], default=-1.0)
     w = np.append(v0, abs(s0) * 1.1 + 1.0)
-    atoms = hard + soft + Box(idx=n, lo=-1.0, hi=w[n] + 1.0).as_linear(n + 1)
-    c_obj = np.zeros(n + 1)
-    c_obj[n] = 1.0
-    if not _is_strictly_feasible(atoms, w):
+    S1 = _Stacked(prog, slack_box=Box(idx=n, lo=-1.0, hi=w[n] + 1.0))
+    c_obj = np.eye(n + 1)[n]
+    if S1.interior(w) is None:
         raise NumericalFailure("phase one could not construct an interior start")
 
     t = 1.0
     for _ in range(40):
-        w, _, _ = _center(atoms, c_obj, t, w)
-        if strictly_ok(w[:n]):
+        w, _, _ = _center(S1, c_obj, t, w)
+        if S.interior(w[:n], _STRICT_MARGIN) is not None:
             return w[:n].copy()
-        if len(atoms) / t <= 1e-9 * (1.0 + abs(w[n])):
+        if S1.m / t <= 1e-9 * (1.0 + abs(w[n])):
             break
         t *= 10.0
     # The comfortable margin was never reached; accept a bare interior
     # point if one emerged (feasible sets with tiny interiors are legal).
-    if _is_strictly_feasible(prog.atoms(), w[:n]):
+    if S.interior(w[:n]) is not None:
         return w[:n].copy()
     raise InfeasibleProgram(f"phase-one optimum {w[n]:.3e} is not strictly negative")
-

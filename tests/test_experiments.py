@@ -84,7 +84,7 @@ class TestRunSweep:
             return replace(real_solve(*args, **kwargs), status="MaxIterations")
 
         monkeypatch.setattr(kernel, "solve", capped)
-        solvers = ("optimal", "fixed_split", "b_zero", "l_inf_limit")
+        solvers = ("optimal", "alternating", "fixed_split", "b_zero", "l_inf_limit")
         rows = run_sweep(_spec(axis="P_tot", axis_values=(100.0,), trials=1, solvers=solvers))
         assert [r.solver for r in rows] == list(solvers)
         assert all(r.feasible and r.status == "MaxIterations" for r in rows)

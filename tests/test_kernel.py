@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cjopt.alternating import gamma_nullspace_param
 from cjopt.errors import InfeasibleProgram, RankDeficient
@@ -9,6 +12,7 @@ from cjopt.kernel import (
     LinearIneq,
     Quadratic,
     ReciprocalSum,
+    _Stacked,
     phase_one,
     solve,
 )
@@ -116,7 +120,7 @@ class TestPhaseOne:
         )
         v = phase_one(prog)
         for con in prog.atoms():
-            assert con.value(v) < 0.0
+            assert con.a @ v - con.b < 0.0
 
     def test_detects_infeasible(self):
         prog = ConvexProgram(
@@ -129,6 +133,102 @@ class TestPhaseOne:
         )
         with pytest.raises(InfeasibleProgram):
             phase_one(prog)
+
+
+    def test_nonlinear_atoms(self):
+        # min v0 s.t. ||v - (3, 3)||^2 <= 1, 1/v0 + 1/v1^2 <= 2, v1 <= 10  ->  v = (2, 3).
+        prog = ConvexProgram(
+            n_vars=2,
+            objective=np.array([1.0, 0.0]),
+            constraints=[
+                Quadratic(M=np.eye(2), d=np.array([-3.0, -3.0]), a=np.zeros(2), b=1.0),
+                ReciprocalSum(idx=np.array([0, 1]), coeff=np.ones(2), power=np.array([1.0, 2.0]),
+                              a=np.zeros(2), b=2.0),
+                Box(idx=1, hi=10.0),
+            ],
+        )
+        v = phase_one(prog)
+        assert np.sum((v - 3.0) ** 2) < 1.0
+        assert v[0] > 0.0 and v[1] > 0.0 and 1.0 / v[0] + 1.0 / v[1] ** 2 < 2.0
+        assert v[1] < 10.0
+        sol = solve(prog)
+        assert sol.status == "Converged"
+        assert sol.x == pytest.approx([2.0, 3.0], abs=1e-6)
+
+
+def _direct_values(cons, v):
+    """g_i(v) of every barrier term, straight from the dataclass formulas,
+    boxes expanded as (lo side, hi side)."""
+    out = []
+    for c in cons:
+        if isinstance(c, Box):
+            out += [c.lo - v[c.idx]] if np.isfinite(c.lo) else []
+            out += [v[c.idx] - c.hi] if np.isfinite(c.hi) else []
+        elif isinstance(c, ReciprocalSum):
+            out.append(np.sum(c.coeff / v[c.idx] ** c.power) + c.a @ v - c.b)
+        elif isinstance(c, Quadratic):
+            out.append(np.sum((c.M @ v + c.d) ** 2) + c.a @ v - c.b)
+        else:
+            out.append(c.a @ v - c.b)
+    return np.array(out)
+
+
+def _random_program(rng, n):
+    """A program mixing all four kinds, strictly feasible at the returned
+    point, which has every variable in [0.5, 2]."""
+    v = rng.uniform(0.5, 2.0, n)
+    cons = []
+    for _ in range(rng.integers(1, 3)):
+        k = int(rng.integers(1, n + 1))
+        cons.append(ReciprocalSum(idx=rng.choice(n, k, replace=False), coeff=rng.uniform(0.1, 2.0, k),
+                                  power=rng.choice([1.0, 2.0], k), a=rng.standard_normal(n), b=0.0))
+    for _ in range(rng.integers(1, 3)):
+        rows = int(rng.integers(1, n + 2))
+        cons.append(Quadratic(M=rng.standard_normal((rows, n)), d=rng.standard_normal(rows),
+                              a=rng.standard_normal(n), b=0.0))
+    cons.append(LinearIneq(a=rng.standard_normal(n), b=0.0))
+    # Put every right-hand side strictly above the value at v.
+    g = _direct_values(cons, v)
+    cons = [replace(c, b=float(gi + rng.uniform(0.1, 1.0))) for c, gi in zip(cons, g)]
+    for j in range(n):
+        lo, hi = v[j] - rng.uniform(0.1, 0.4), v[j] + rng.uniform(0.1, 1.0)
+        cons.append(Box(idx=j, lo=lo, hi=hi) if j % 3 == 0 else
+                    Box(idx=j, lo=lo) if j % 3 == 1 else Box(idx=j, hi=hi))
+    rng.shuffle(cons)
+    return ConvexProgram(n_vars=n, objective=np.zeros(n), constraints=cons), v
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), slack=st.booleans())
+def test_stacked_form_matches_formulas_and_differences(seed, n, slack):
+    rng = np.random.default_rng(seed)
+    prog, v = _random_program(rng, n)
+    expected = _direct_values(prog.constraints, v)
+    if slack:
+        # Phase-one form: non-box rows become g_i(v) - s, plus the slack's own box.
+        s = float(rng.uniform(-0.05, 0.5))
+        is_box = np.concatenate([[isinstance(c, Box)] * len(_direct_values([c], v))
+                                 for c in prog.constraints])
+        S = _Stacked(prog, slack_box=Box(idx=n, lo=-1.0, hi=1.0))
+        expected = np.concatenate([np.where(is_box, expected, expected - s), [-1.0 - s, s - 1.0]])
+        v = np.append(v, s)
+    else:
+        S = _Stacked(prog)
+        assert S.m == len(prog.atoms())
+    g = S.g(v)
+    assert g == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert S.interior(v) is not None and np.all(g < 0)
+
+    h = 1e-6
+    w = rng.uniform(0.1, 2.0, S.m)
+    J, H = S.jac(v), S.hess(v, w)
+    for j in range(S.n):
+        e = np.zeros(S.n)
+        e[j] = h
+        dg = (S.g(v + e) - S.g(v - e)) / (2 * h)
+        assert J[:, j] == pytest.approx(dg, rel=1e-6, abs=1e-6)
+        dgrad = (S.jac(v + e).T @ w - S.jac(v - e).T @ w) / (2 * h)
+        assert H[:, j] == pytest.approx(dgrad, rel=1e-5, abs=1e-5)
 
 
 # The null-space parametrization is part of cjopt.alternating, its only user.
