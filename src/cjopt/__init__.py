@@ -26,11 +26,11 @@ from .model import (
 )
 from .feasibility import FeasibilityReport, check_existence, optimal_power
 from .metrics import secrecy_bounds, sinr_eve_full, sinr_eve_upper, sinr_user, stream_metrics
-from .optimal import OptimalDesign, solve_optimal
+from .optimal import solve_optimal
 from .alternating import AlternatingState, solve_alternating, solve_b_zero
 from .baselines import l_infinity_limit, no_jamming_report, solve_fixed_split
 from .oracle import grid_oracle
 from .experiments import SweepRow, SweepSpec, run_sweep, summarize, write_csv
-from .report import SolveReport, make_report
+from .report import Design, SolveReport, make_report
 
 __version__ = "0.1.0"

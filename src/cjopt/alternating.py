@@ -17,8 +17,9 @@ from . import kernel
 from .errors import Infeasible, NonMonotone, RankDeficient
 from .feasibility import check_existence, delta_inverse_neg
 from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
+from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
-from .report import make_report
+from .report import Design
 
 __all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "solve_b_zero"]
 
@@ -388,8 +389,9 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
                       max_iters=100, tol=1e-6):
     """Alternate the two block programs until the block objective settles.
 
-    Returns (AlternatingState, SolveReport); the report reinstates the
-    noise term in every metric.
+    Returns (AlternatingState, Design). The state's eta is the block
+    objective; the design's eta is the exact Eve bound (noise reinstated)
+    on ch, and its iterations count the outer iterations.
     """
     feas = check_existence(pre, params)
     if not feas.feasible:
@@ -450,15 +452,16 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
 
     Sigma = state.Gamma.conj().T @ state.Gamma
     p = ws.p_of(state.c_tilde)
-    report = make_report("alternating", pre, ch, params, p, Sigma,
-                         iterations=state.iteration, status=status)
-    return state, report
+    eta = float(np.max(sinr_eve_upper(pre, ch, p, Sigma, params.sigma2)))
+    return state, Design(p=p, x=state.x, Sigma=Sigma, eta=eta, status=status,
+                         iterations=state.iteration)
 
 
-def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams):
+def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """High-power optimal design with the jammer-to-users channel treated
     as exactly zero: leaks vanish, so the minimal-norm factor at the
-    optimal spectrum is the answer. Returns (x, Gamma, eta, status)."""
+    optimal spectrum is the answer. eta is the high-power block
+    objective."""
     feas = check_existence(pre, params)
     if not feas.feasible:
         raise Infeasible("QoS thresholds unattainable within the budget")
@@ -469,4 +472,5 @@ def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams):
         raise Infeasible("no power headroom for jamming")
     x, eta = _cap_free_spectrum(ws, ws.pj2, p0, budget)
     Gamma = ws.gamma_of(x, np.zeros((ws.Lz, ws.Z), complex))
-    return x, Gamma, eta, ws.kernel_status
+    return Design(p=feas.p_candidate, x=x, Sigma=Gamma.conj().T @ Gamma, eta=eta,
+                  status=ws.kernel_status, iterations=0)

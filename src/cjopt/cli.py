@@ -7,14 +7,20 @@ Exit codes: 0 success, 1 usage or runtime error, 2 infeasible instance.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
-from .alternating import solve_alternating
 from .errors import CjoptError, Infeasible
-from .experiments import SOLVER_TABLE, SOLVERS, SweepSpec, run_sweep, summarize, write_csv
+from .experiments import (
+    SOLVER_TABLE,
+    SOLVERS,
+    SweepSpec,
+    run_solver,
+    run_sweep,
+    summarize,
+    write_csv,
+)
 from .model import (
     SystemParams,
     channel_inversion_precoder,
@@ -23,7 +29,6 @@ from .model import (
     load_config,
     perturb_csi,
 )
-from .optimal import solve_optimal
 from .oracle import grid_oracle
 
 EXIT_OK = 0
@@ -67,7 +72,8 @@ def _build_parser():
                          help="trials per axis value (overrides config)")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
-    p_sweep.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p_sweep.add_argument("--threads", type=int,
+                         help="ignored: the sweep runs serially (kept for old command lines)")
 
     p_oracle = sub.add_parser("oracle", help="brute-force check of the optimal solver")
     p_oracle.add_argument("--n", type=int, default=4)
@@ -117,7 +123,7 @@ def cmd_solve(args):
     pre = channel_inversion_precoder(ch, params.tau)
     ch_design = perturb_csi(ch, extras["xi2"], rng_seed=seed) if extras["xi2"] else ch
     solver = SOLVER_ALIASES.get(args.solver, args.solver)
-    rep = SOLVER_TABLE[solver](pre, ch, ch_design, params)
+    rep = run_solver(solver, pre, ch, ch_design, params)
     if args.json:
         print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
     else:
@@ -145,7 +151,7 @@ def cmd_sweep(args):
         b_gain_db=extras["b_gain_db"],
         xi2=extras["xi2"] or 0.0,
     )
-    rows = run_sweep(spec, threads=max(1, args.threads))
+    rows = run_sweep(spec)
     write_csv(rows, args.out)
     for entry in summarize(rows):
         eta_db = entry["mean_eta_db"]
@@ -169,12 +175,8 @@ def cmd_oracle(args):
     ch = generate_rayleigh(params, rng_seed=args.seed)
     pre = channel_inversion_precoder(ch, params.tau)
     result = grid_oracle(pre, ch, params, grid=args.grid, levels=args.levels)
-    if params.l >= params.k + params.z:
-        design = solve_optimal(pre, ch, params)
-        solver_eta = design.eta
-    else:
-        _, rep = solve_alternating(pre, ch, params)
-        solver_eta = rep.eta
+    solver = "optimal" if params.l >= params.k + params.z else "alternating"
+    solver_eta = SOLVER_TABLE[solver](pre, ch, params).eta
     gap = abs(solver_eta - result.eta) / max(result.eta, 1e-300)
     print(f"oracle eta: {result.eta:.9g}  ({result.evaluations} grid points)")
     print(f"solver eta: {solver_eta:.9g}")

@@ -13,67 +13,35 @@ import numpy as np
 from .alternating import solve_alternating, solve_b_zero
 from .baselines import l_infinity_limit, no_jamming_report, solve_fixed_split
 from .errors import CjoptError
-from .feasibility import check_existence, optimal_power
+from .feasibility import check_existence
 from .model import SystemParams, channel_inversion_precoder, generate_rayleigh, perturb_csi
 from .optimal import solve_optimal
 from .report import SolveReport, make_report
 
-__all__ = ["SOLVER_TABLE", "SOLVERS", "SweepSpec", "SweepRow", "run_sweep", "summarize",
-           "write_csv"]
+__all__ = ["SOLVER_TABLE", "SOLVERS", "SweepSpec", "SweepRow", "run_solver", "run_sweep",
+           "summarize", "write_csv"]
 
 
-# Table entries design on ch_design (the jammer's possibly perturbed CSI)
-# and report on the true channels ch. They look solvers up by module-level
-# name at call time, so wrappers installed on those names see every call.
-
-def _optimal(pre, ch, ch_design, params):
-    d = solve_optimal(pre, ch_design, params)
-    return make_report("optimal", pre, ch, params, d.p, d.Sigma, d.iterations, d.status)
-
-
-def _alternating(pre, ch, ch_design, params):
-    state, rep = solve_alternating(pre, ch_design, params)
-    Sigma = state.Gamma.conj().T @ state.Gamma
-    return make_report("alternating", pre, ch, params, rep.p, Sigma, state.iteration, rep.status)
-
-
-def _fixed_split(pre, ch, ch_design, params):
-    _, _, Sigma, _, status = solve_fixed_split(pre, ch_design, params)
-    return make_report("fixed_split", pre, ch, params, optimal_power(pre, params), Sigma,
-                       status=status)
-
-
-def _no_jamming(pre, ch, ch_design, params):
-    return no_jamming_report(pre, ch, params)
-
-
-def _b_zero(pre, ch, ch_design, params):
-    _, Gamma, _, status = solve_b_zero(pre, ch_design, params)
-    return make_report("b_zero", pre, ch, params, optimal_power(pre, params),
-                       Gamma.conj().T @ Gamma, status=status)
-
-
-def _l_inf_limit(pre, ch, ch_design, params):
-    # A limit for an unbounded jammer array, not a design on these channels:
-    # only eta is known, the per-stream metrics are NaN.
-    eta, status = l_infinity_limit(pre, ch_design, params)
-    nan = np.full(params.k, np.nan)
-    return SolveReport(solver="l_inf_limit", status=status, p=optimal_power(pre, params),
-                       sigma_trace=np.nan, eta=eta, sinr_user=nan, sinr_eve_upper=nan,
-                       secrecy_lb=nan, iterations=0)
-
-
+# Each entry maps (pre, ch_design, params) to a Design. Entries look their
+# solver up by module-level name at call time, so wrappers installed on
+# those names see every call.
 SOLVER_TABLE = {
-    "optimal": _optimal,
-    "alternating": _alternating,
-    "fixed_split": _fixed_split,
-    "no_jamming": _no_jamming,
-    "b_zero": _b_zero,
-    "l_inf_limit": _l_inf_limit,
+    "optimal": lambda pre, ch, params: solve_optimal(pre, ch, params),
+    "alternating": lambda pre, ch, params: solve_alternating(pre, ch, params)[1],
+    "fixed_split": lambda pre, ch, params: solve_fixed_split(pre, ch, params),
+    "no_jamming": lambda pre, ch, params: no_jamming_report(pre, ch, params),
+    "b_zero": lambda pre, ch, params: solve_b_zero(pre, ch, params),
+    "l_inf_limit": lambda pre, ch, params: l_infinity_limit(pre, ch, params),
 }
 SOLVERS = tuple(SOLVER_TABLE)
 
 _AXES = ("Z", "P_tot", "tau", "L", "b_gain_db")
+
+
+def run_solver(solver, pre, ch, ch_design, params) -> SolveReport:
+    """Design with the table entry `solver` on ch_design (the jammer's
+    possibly perturbed CSI) and report on the true channels ch."""
+    return make_report(solver, pre, ch, params, SOLVER_TABLE[solver](pre, ch_design, params))
 
 
 @dataclass(frozen=True)
@@ -149,7 +117,7 @@ def _run_trial(spec: SweepSpec, value, params, gain, trial):
         status, eta, lo, mean, iters, ok = draw_status, np.nan, np.nan, np.nan, 0, False
         if status is None:
             try:
-                rep = SOLVER_TABLE[solver](pre, ch, ch_design, params)
+                rep = run_solver(solver, pre, ch, ch_design, params)
                 status, eta, iters, ok = rep.status, rep.eta, rep.iterations, True
                 lo, mean = float(np.min(rep.secrecy_lb)), float(np.mean(rep.secrecy_lb))
             except (CjoptError, np.linalg.LinAlgError) as exc:
@@ -171,24 +139,16 @@ def _run_trial(spec: SweepSpec, value, params, gain, trial):
     return rows
 
 
-def run_sweep(spec: SweepSpec, threads=1):
+def run_sweep(spec: SweepSpec):
     """One SweepRow per (axis value, solver, trial), ordered by
-    (axis value, solver, trial seed). Trials are independent; with
-    threads > 1 they run on a thread pool and are merged in the same
-    deterministic order."""
-    tasks = []
+    (axis value, solver, trial seed). Trials run one after another: they
+    are bound by small numpy calls under the interpreter lock, where a
+    thread pool measured slower than the serial loop."""
+    rows = []
     for value in spec.axis_values:
         params, gain = _apply_axis(spec, value)
         for trial in range(spec.trials):
-            tasks.append((value, params, gain, trial))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: _run_trial(spec, *t), tasks))
-    else:
-        per_trial = [_run_trial(spec, *t) for t in tasks]
-    rows = [row for trial_rows in per_trial for row in trial_rows]
+            rows.extend(_run_trial(spec, value, params, gain, trial))
     value_order = {float(v): i for i, v in enumerate(spec.axis_values)}
     rows.sort(key=lambda r: (value_order[r.axis_value],
                              spec.solvers.index(r.solver), r.trial_seed))

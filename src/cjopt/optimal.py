@@ -2,8 +2,6 @@
 (L >= K + Z): closed-form power allocation, a small convex program for the
 jamming spectrum, and the minimal-norm jamming factor reconstruction."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
@@ -11,24 +9,11 @@ from .errors import IllConditioned, NumericalFailure, RankDeficient
 from .feasibility import optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, ReciprocalSum
 from .model import ChannelSet, Precoder, SystemParams
+from .report import Design
 
-__all__ = ["OptimalDesign", "compute_phi", "solve_spectrum", "solve_eq14", "build_sigma",
-           "solve_optimal"]
+__all__ = ["compute_phi", "solve_spectrum", "solve_eq14", "build_sigma", "solve_optimal"]
 
 _HEADROOM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class OptimalDesign:
-    p: np.ndarray
-    x: np.ndarray
-    lam: np.ndarray
-    Gamma: np.ndarray  # Z x L jamming factor, Sigma = Gamma^H Gamma
-    Sigma: np.ndarray
-    eta: float
-    phi: np.ndarray
-    iterations: int
-    status: str
 
 
 def compute_phi(G, B):
@@ -142,23 +127,14 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     return Gamma_H.conj().T, Sigma
 
 
-def solve_optimal(pre: Precoder, ch: ChannelSet, params: SystemParams) -> OptimalDesign:
+def solve_optimal(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """Full pipeline: closed-form p, jamming-spectrum program, minimal-norm
-    covariance reconstruction."""
+    covariance reconstruction. eta is the eq14 optimum and iterations its
+    Newton steps."""
     if params.l < params.k + params.z:
         raise RankDeficient(f"optimal design needs L >= K + Z (L={params.l}, K+Z={params.k + params.z})")
     p = optimal_power(pre, params)
     phi = compute_phi(ch.G, ch.B)
     x, eta, status, iterations = solve_eq14(pre, ch, params, p, phi=phi)
-    Gamma, Sigma = build_sigma(ch, x, params.sigma2)
-    return OptimalDesign(
-        p=p,
-        x=x,
-        lam=np.maximum(1.0 / x - params.sigma2, 0.0),
-        Gamma=Gamma,
-        Sigma=Sigma,
-        eta=eta,
-        phi=phi,
-        iterations=iterations,
-        status=status,
-    )
+    _, Sigma = build_sigma(ch, x, params.sigma2)
+    return Design(p=p, x=x, Sigma=Sigma, eta=eta, status=status, iterations=iterations)

@@ -1,4 +1,5 @@
-"""Uniform result record produced by every solver path."""
+"""The one design record every solver returns, and the report that
+evaluates it."""
 
 from dataclasses import dataclass
 
@@ -7,11 +8,31 @@ import numpy as np
 from .metrics import stream_metrics
 from .model import ChannelSet, Precoder, SystemParams
 
-__all__ = ["SolveReport", "make_report"]
+__all__ = ["Design", "SolveReport", "make_report"]
 
 
 def _finite(v):
     return float(v) if np.isfinite(v) else None
+
+
+@dataclass(frozen=True)
+class Design:
+    """A joint design: transmit powers p and jamming covariance Sigma.
+
+    x holds the jamming spectrum (x_j = 1 / (sigma^2 + lambda_j)). Sigma
+    is None for a limit that describes no covariance on the drawn channels
+    (l_infinity_limit). eta is the worst per-stream Eve bound as the solver
+    evaluates it on the channels it designed on (each solver's docstring
+    says how); status says how the solve ended and iterations counts the
+    solver's main loop (0 for the baselines).
+    """
+
+    p: np.ndarray
+    x: np.ndarray
+    Sigma: np.ndarray | None
+    eta: float
+    status: str
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -44,18 +65,25 @@ class SolveReport:
 
 
 def make_report(solver, pre: Precoder, ch: ChannelSet, params: SystemParams,
-                p, Sigma, iterations=0, status="Converged") -> SolveReport:
-    """Re-evaluate a finished design with the exact metric formulas
-    (noise reinstated) and package the result."""
-    m = stream_metrics(pre, ch, p, Sigma, params.sigma2, params.rate_threshold)
+                design: Design) -> SolveReport:
+    """Evaluate a design on the channels ch with the exact metric formulas
+    (noise reinstated). Without a covariance only the design's eta is
+    known, and the per-stream metrics are NaN."""
+    p = np.asarray(design.p, dtype=float)
+    if design.Sigma is None:
+        nan = np.full(params.k, np.nan)
+        return SolveReport(solver=solver, status=design.status, p=p, sigma_trace=np.nan,
+                           eta=design.eta, sinr_user=nan, sinr_eve_upper=nan,
+                           secrecy_lb=nan, iterations=design.iterations)
+    m = stream_metrics(pre, ch, p, design.Sigma, params.sigma2, params.rate_threshold)
     return SolveReport(
         solver=solver,
-        status=status,
-        p=np.asarray(p, dtype=float),
-        sigma_trace=float(np.trace(Sigma).real),
+        status=design.status,
+        p=p,
+        sigma_trace=float(np.trace(design.Sigma).real),
         eta=float(np.max(m.sinr_eve_upper)),
         sinr_user=m.sinr_user,
         sinr_eve_upper=m.sinr_eve_upper,
         secrecy_lb=m.c_se_l2,
-        iterations=iterations,
+        iterations=design.iterations,
     )

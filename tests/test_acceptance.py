@@ -195,7 +195,7 @@ class TestWeakCrossChannelConvergence:
                 if not check_existence(pre, params).feasible:
                     continue
                 state, rep = solve_alternating(pre, ch, params)
-                _, _, eta_bz, _ = solve_b_zero(pre, ch, params)
+                eta_bz = solve_b_zero(pre, ch, params).eta
                 gaps.append(abs(state.eta - eta_bz) / eta_bz)
             assert len(gaps) >= 45
             medians.append(float(np.median(gaps)))
@@ -210,7 +210,7 @@ class TestEveAntennaTrend:
                             p_tot=10.0)
         spec = SweepSpec(base=base, axis="Z", axis_values=tuple(range(5, 21)),
                          trials=100, solvers=("optimal",), seed=0)
-        stats = summarize(run_sweep(spec, threads=4))
+        stats = summarize(run_sweep(spec))
         db = {e["axis_value"]: e["mean_eta_db"] for e in stats}
         curve = [db[z] for z in range(5, 21)]
         assert all(b >= a for a, b in zip(curve, curve[1:]))  # increases with Z
@@ -225,7 +225,7 @@ class TestBaselineDominance:
         spec = SweepSpec(base=base, axis="P_tot", axis_values=(50.0, 100.0),
                          trials=10, solvers=("optimal", "fixed_split", "no_jamming"),
                          seed=0)
-        rows = run_sweep(spec, threads=4)
+        rows = run_sweep(spec)
         by = {(r.axis_value, r.solver, r.trial_seed): r for r in rows}
         compared = 0
         for (value, solver, ts), r in by.items():
@@ -271,7 +271,7 @@ class TestDesignInvariants:
     def test_fixed_split_designs(self):
         for seed in range(5):
             params, ch, pre = feasible_instance(seed)
-            _, _, Sigma, _, _ = solve_fixed_split(pre, ch, params)
+            Sigma = solve_fixed_split(pre, ch, params).Sigma
             p = optimal_power(pre, params)
             self._check(p, Sigma, params)
 

@@ -18,6 +18,7 @@ from cjopt.model import (
     precoder_from_unit_columns,
 )
 from cjopt.optimal import solve_optimal
+from cjopt.report import make_report
 from util import custom_channels, feasible_instance, make_instance
 
 
@@ -106,7 +107,8 @@ class TestSolveAlternating:
         for l in (6, 4):
             for seed in range(5):
                 params, ch, pre = feasible_instance(seed, l=l)
-                state, rep = solve_alternating(pre, ch, params)
+                _, design = solve_alternating(pre, ch, params)
+                rep = make_report("alternating", pre, ch, params, design)
                 assert np.all(rep.sinr_user >= params.tau * (1.0 - 1e-6))
                 used = rep.p.sum() + rep.sigma_trace
                 assert used <= params.p_tot * (1.0 + 1e-6)
@@ -140,25 +142,25 @@ class TestSolveBZero:
     def test_scalar_closed_form(self):
         params, ch, pre = _b_zero_scalar_setup(p_tot=20.0)
         p = optimal_power(pre, params)
-        x, Gamma, eta, status = solve_b_zero(pre, ch, params)
-        assert status == "Converged"
+        d = solve_b_zero(pre, ch, params)
+        assert d.status == "Converged"
         head = params.p_tot - p[0]
         a2 = np.abs(pre.A[0, 0]) ** 2
-        assert x[0] == pytest.approx(np.sqrt(head), rel=1e-5)
-        assert eta == pytest.approx(p[0] * a2 / head, rel=1e-5)
+        assert d.x[0] == pytest.approx(np.sqrt(head), rel=1e-5)
+        assert d.eta == pytest.approx(p[0] * a2 / head, rel=1e-5)
 
     def test_objective_homogeneous_in_eve_gains(self):
         params, ch, pre = feasible_instance(2)
-        _, _, eta, _ = solve_b_zero(pre, ch, params)
+        eta = solve_b_zero(pre, ch, params).eta
         pre2 = precoder_from_unit_columns(pre.U, custom_channels(ch.F, 2.0 * ch.H, ch.B, ch.G),
                                           params.tau)
-        _, _, eta2, _ = solve_b_zero(pre2, ch, params)
+        eta2 = solve_b_zero(pre2, ch, params).eta
         assert eta2 == pytest.approx(4.0 * eta, rel=1e-5)
 
     def test_matches_step1_without_leakage(self):
         params, ch, pre = _b_zero_scalar_setup(p_tot=30.0)
-        x, _, eta, _ = solve_b_zero(pre, ch, params)
+        d = solve_b_zero(pre, ch, params)
         state = _fresh_state(params, c_tilde=[1e-12], x=[1.0])
         out = _step1(_AltWorkspace(pre, ch, params), state)
-        assert out.x[0] == pytest.approx(x[0], rel=1e-5)
-        assert out.eta == pytest.approx(eta, rel=1e-5)
+        assert out.x[0] == pytest.approx(d.x[0], rel=1e-5)
+        assert out.eta == pytest.approx(d.eta, rel=1e-5)

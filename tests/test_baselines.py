@@ -7,7 +7,12 @@ from cjopt.feasibility import optimal_power
 from cjopt.metrics import stream_metrics
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
 from cjopt.optimal import solve_optimal
+from cjopt.report import make_report
 from util import feasible_instance, make_instance
+
+
+def _no_jamming(pre, ch, params):
+    return make_report("no_jamming", pre, ch, params, no_jamming_report(pre, ch, params))
 
 
 class TestFixedSplit:
@@ -15,7 +20,7 @@ class TestFixedSplit:
         for seed in range(5):
             params, ch, pre = feasible_instance(seed)
             d = solve_optimal(pre, ch, params)
-            _, _, _, eta_fixed, _ = solve_fixed_split(pre, ch, params)
+            eta_fixed = solve_fixed_split(pre, ch, params).eta
             assert d.eta <= eta_fixed + 1e-9
 
     def test_matches_optimal_at_exact_split(self):
@@ -25,7 +30,7 @@ class TestFixedSplit:
         p = optimal_power(pre, params)
         split = float(p.sum()) / params.p_tot * (1.0 + 1e-9)
         d = solve_optimal(pre, ch, params)
-        _, _, _, eta_fixed, _ = solve_fixed_split(pre, ch, params, split=split)
+        eta_fixed = solve_fixed_split(pre, ch, params, split=split).eta
         assert eta_fixed == pytest.approx(d.eta, rel=1e-5)
 
     def test_infeasible_when_split_too_small(self):
@@ -44,7 +49,7 @@ class TestFixedSplit:
         for seed in range(5):
             params, ch, pre = feasible_instance(seed)
             p = optimal_power(pre, params)
-            _, _, Sigma, _, _ = solve_fixed_split(pre, ch, params)
+            Sigma = solve_fixed_split(pre, ch, params).Sigma
             used = p.sum() + np.trace(Sigma).real
             assert used <= params.p_tot * (1.0 + 1e-6)
 
@@ -52,7 +57,7 @@ class TestFixedSplit:
 class TestNoJamming:
     def test_matches_direct_metrics(self):
         params, ch, pre = feasible_instance(3)
-        rep = no_jamming_report(pre, ch, params)
+        rep = _no_jamming(pre, ch, params)
         p = optimal_power(pre, params)
         m = stream_metrics(pre, ch, p, np.zeros((params.l, params.l)), params.sigma2,
                            params.rate_threshold)
@@ -66,12 +71,12 @@ class TestNoJamming:
             d = solve_optimal(pre, ch, params)
             m_opt = stream_metrics(pre, ch, d.p, d.Sigma, params.sigma2,
                                    params.rate_threshold)
-            rep = no_jamming_report(pre, ch, params)
+            rep = _no_jamming(pre, ch, params)
             assert np.all(m_opt.c_se_l2 >= rep.secrecy_lb - 1e-9)
 
     def test_strong_eve_clamps_bound_to_zero(self):
         params, ch, pre = feasible_instance(0, p_tot=1e4)
-        rep = no_jamming_report(pre, ch, params)
+        rep = _no_jamming(pre, ch, params)
         # minimal QoS power against an un-jammed Eve with these dimensions
         # leaves Eve's bound above the rate threshold for some stream
         assert rep.secrecy_lb.min() >= 0.0
@@ -84,7 +89,7 @@ class TestLInfinityLimit:
             etas = []
             for seed in range(5):
                 params, ch, pre = feasible_instance(seed, n=8, k=3, l=l, z=2)
-                etas.append(l_infinity_limit(pre, ch, params)[0])
+                etas.append(l_infinity_limit(pre, ch, params).eta)
             medians.append(np.median(etas))
         assert medians[0] > medians[1] > medians[2]
 
@@ -94,6 +99,7 @@ class TestLInfinityLimit:
         for seed in range(5):
             params, ch, pre = feasible_instance(seed)
             d = solve_optimal(pre, ch, params)
-            eta, status = l_infinity_limit(pre, ch, params)
-            assert status == "Converged"
-            assert eta <= d.eta * (1.0 + 1e-6)
+            lim = l_infinity_limit(pre, ch, params)
+            assert lim.status == "Converged"
+            assert lim.Sigma is None
+            assert lim.eta <= d.eta * (1.0 + 1e-6)

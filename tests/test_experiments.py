@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cjopt import experiments, kernel
+from cjopt.errors import Infeasible
 from cjopt.experiments import (
+    SOLVER_TABLE,
     SOLVERS,
     SweepRow,
     SweepSpec,
@@ -14,7 +17,10 @@ from cjopt.experiments import (
     trial_seed,
     write_csv,
 )
-from cjopt.model import SystemParams
+from cjopt.feasibility import check_existence
+from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
+from cjopt.report import Design, make_report
+from util import feasible_instance
 
 BASE = SystemParams(n=8, k=3, l=6, z=2, sigma2=1.0, tau=2.0, p_tot=100.0)
 
@@ -43,6 +49,56 @@ class TestSweepSpec:
         assert trial_seed(0, 2, 1) != trial_seed(1, 2, 1)
 
 
+class TestSolverTable:
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_every_entry_returns_a_design(self, name):
+        params, ch, pre = feasible_instance(0)
+        d = SOLVER_TABLE[name](pre, ch, params)
+        assert isinstance(d, Design)
+        assert d.p.shape == (params.k,) and np.isfinite(d.eta)
+        if name == "l_inf_limit":
+            assert d.Sigma is None
+            return
+        assert d.Sigma.shape == (params.l, params.l)
+        scale = max(np.linalg.norm(d.Sigma), 1.0)
+        assert np.linalg.norm(d.Sigma - d.Sigma.conj().T) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(0.5 * (d.Sigma + d.Sigma.conj().T)).min() >= -1e-12 * scale
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), z=st.integers(1, 3),
+           extra_l=st.integers(0, 2), extra_n=st.integers(0, 3), tau_db=st.floats(0.0, 6.0),
+           b_gain_db=st.floats(-30.0, 0.0), headroom_db=st.floats(0.5, 30.0))
+    def test_invariants_on_random_instances(self, seed, k, z, extra_l, extra_n, tau_db,
+                                            b_gain_db, headroom_db):
+        # L >= K + Z, and P_tot sits headroom_db above the minimal QoS power.
+        params = SystemParams(n=k + extra_n, k=k, l=k + z + extra_l, z=z, sigma2=1.0,
+                              tau=10 ** (tau_db / 10), p_tot=1.0)
+        ch = generate_rayleigh(params, gain_db_b=b_gain_db, rng_seed=seed)
+        pre = channel_inversion_precoder(ch, params.tau)
+        p_min = check_existence(pre, params).p_norm1
+        params = replace(params, p_tot=p_min * 10 ** (headroom_db / 10))
+        designs = {}
+        for name in SOLVERS:
+            try:
+                d = designs[name] = SOLVER_TABLE[name](pre, ch, params)
+            except Infeasible:
+                assert name == "fixed_split"  # QoS power above the 50% share
+                continue
+            used = float(d.p.sum())
+            if d.Sigma is not None:
+                # b_zero designs for a jammer-to-user channel of zero and
+                # meets the QoS thresholds only there.
+                ch_eval = replace(ch, B=0.0 * ch.B) if name == "b_zero" else ch
+                rep = make_report(name, pre, ch_eval, params, d)
+                used += rep.sigma_trace
+                assert np.all(rep.sinr_user >= params.tau * (1.0 - 1e-6)), name
+            assert used <= params.p_tot * (1.0 + 1e-6), name
+        eta = designs["optimal"].eta
+        assert eta <= designs["no_jamming"].eta * (1.0 + 1e-6)
+        if "fixed_split" in designs:
+            assert eta <= designs["fixed_split"].eta * (1.0 + 1e-6)
+
+
 class TestRunSweep:
     def test_row_structure(self):
         rows = run_sweep(_spec())
@@ -55,10 +111,6 @@ class TestRunSweep:
 
     def test_deterministic(self):
         assert run_sweep(_spec()) == run_sweep(_spec())
-
-    def test_threads_match_serial(self):
-        spec = _spec(trials=3)
-        assert run_sweep(spec, threads=4) == run_sweep(spec, threads=1)
 
     def test_jamming_helps(self):
         rows = run_sweep(_spec(trials=3))
@@ -136,5 +188,5 @@ class TestWriteCsv:
         spec = _spec(trials=2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_csv(run_sweep(spec), str(p1))
-        write_csv(run_sweep(spec, threads=3), str(p2))
+        write_csv(run_sweep(spec), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
