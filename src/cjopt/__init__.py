@@ -8,7 +8,6 @@ from .errors import (
     InfeasibleProgram,
     NonMonotone,
     NotHermitian,
-    NotPSD,
     NumericalFailure,
     RankDeficient,
     SingularDelta,
@@ -20,12 +19,11 @@ from .model import (
     channel_inversion_precoder,
     db_to_linear,
     generate_rayleigh,
-    linear_to_db,
     load_config,
     perturb_csi,
 )
 from .feasibility import FeasibilityReport, check_existence, optimal_power
-from .metrics import secrecy_bounds, sinr_eve_full, sinr_eve_upper, sinr_user, stream_metrics
+from .metrics import sinr_eve_upper, sinr_user
 from .optimal import solve_optimal
 from .alternating import AlternatingState, solve_alternating, solve_b_zero
 from .baselines import l_infinity_limit, no_jamming_report, solve_fixed_split

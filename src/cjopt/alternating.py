@@ -19,6 +19,7 @@ from .feasibility import check_existence, delta_inverse_neg
 from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
+from .numerics import well_conditioned
 from .report import Design
 
 __all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "solve_b_zero"]
@@ -398,10 +399,7 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
         raise Infeasible("QoS thresholds unattainable within the budget")
     ws = _AltWorkspace(pre, ch, params)
     joint = np.hstack([ch.G, ch.B])
-    zf_possible = (
-        params.l >= params.k + params.z
-        and np.linalg.cond(joint.conj().T @ joint) < 1e12
-    )
+    zf_possible = params.l >= params.k + params.z and well_conditioned(joint.conj().T @ joint)
     if zf_possible:
         c0 = np.zeros(params.k)
         x0 = np.full(params.z, np.nan)

@@ -13,10 +13,6 @@ class IllConditioned(CjoptError):
     """Condition estimate exceeds the trust threshold (degenerate draw)."""
 
 
-class NotPSD(CjoptError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
-
-
 class SingularDelta(CjoptError):
     """The precoder's QoS coupling matrix is singular; no power vector can
     meet the QoS thresholds (precoder defect, not a budget defect)."""

@@ -7,6 +7,7 @@ import numpy as np
 
 from .errors import Infeasible, SingularDelta
 from .model import Precoder, SystemParams
+from .numerics import well_conditioned
 
 __all__ = ["FeasibilityReport", "delta_inverse_neg", "check_existence", "optimal_power"]
 
@@ -18,14 +19,12 @@ class FeasibilityReport:
     feasible: bool
     p_candidate: np.ndarray
     p_norm1: float
-    slack: float
 
 
 def delta_inverse_neg(Delta):
     """Rows of -(Delta^H)^{-1}; raises SingularDelta if Delta is too close
     to singular for any power vector to meet the QoS thresholds."""
-    cond = np.linalg.cond(Delta)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not well_conditioned(Delta):
         raise SingularDelta("QoS coupling matrix is singular (precoder defect)")
     return -np.linalg.inv(Delta.conj().T).real
 
@@ -39,12 +38,7 @@ def check_existence(pre: Precoder, params: SystemParams) -> FeasibilityReport:
     p = np.where((p < 0) & (p > -_COMPONENT_TOL), 0.0, p)
     norm1 = float(np.sum(np.abs(p)))
     feasible = bool(np.all(p >= 0.0) and norm1 <= params.p_tot * (1.0 + _COMPONENT_TOL))
-    return FeasibilityReport(
-        feasible=feasible,
-        p_candidate=p,
-        p_norm1=norm1,
-        slack=params.p_tot - norm1,
-    )
+    return FeasibilityReport(feasible=feasible, p_candidate=p, p_norm1=norm1)
 
 
 def optimal_power(pre: Precoder, params: SystemParams) -> np.ndarray:

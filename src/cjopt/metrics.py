@@ -1,37 +1,15 @@
-"""Per-stream SINR and secrecy-rate quantities, plus the SER Monte Carlo.
+"""Per-stream SINR at the users and the upper bound on Eve's SINR.
 
-Rates are in bits (log base 2). The eavesdropper's explicit beamformer is
-never materialized here; the algebraically identical inverse form is used.
+The eavesdropper's explicit beamformer is never materialized here; the
+algebraically identical inverse form is used.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelSet, Precoder, _rng
+from .model import ChannelSet, Precoder
 from .numerics import hermitian_solve
 
-__all__ = [
-    "StreamMetrics",
-    "sinr_user",
-    "sinr_eve_full",
-    "sinr_eve_upper",
-    "secrecy_bounds",
-    "stream_metrics",
-    "ser_monte_carlo",
-]
-
-
-@dataclass(frozen=True)
-class StreamMetrics:
-    """Per-stream quality summary for a candidate design (p, Sigma)."""
-
-    sinr_user: np.ndarray
-    sinr_eve: np.ndarray
-    sinr_eve_upper: np.ndarray
-    c_k: np.ndarray
-    c_se_l1: np.ndarray
-    c_se_l2: np.ndarray
+__all__ = ["sinr_user", "sinr_eve_upper"]
 
 
 def _eve_noise_cov(ch: ChannelSet, Sigma, sigma2):
@@ -50,22 +28,6 @@ def sinr_user(pre: Precoder, ch: ChannelSet, p, Sigma, sigma2):
     return signal / (interference + leak + sigma2)
 
 
-def sinr_eve_full(pre: Precoder, ch: ChannelSet, p, Sigma, sigma2):
-    """Eve's per-stream output SINR under optimal receive beamforming,
-    treating the other K-1 streams as interference.
-
-    Computed in the inverse form: with M the full received covariance,
-    q_k = p_k a_k^H M^{-1} a_k and SINR = q_k / (1 - q_k).
-    """
-    p = np.asarray(p, dtype=float)
-    A = pre.A
-    M = (A * p) @ A.conj().T + _eve_noise_cov(ch, Sigma, sigma2)
-    X = hermitian_solve(M, A)
-    q = p * np.einsum("zk,zk->k", A.conj(), X).real
-    q = np.clip(q, 0.0, 1.0 - 1e-15)
-    return q / (1.0 - q)
-
-
 def sinr_eve_upper(pre: Precoder, ch: ChannelSet, p, Sigma, sigma2):
     """Upper bound on Eve's per-stream SINR: interference from the other
     streams is dropped, leaving p_k a_k^H (sigma^2 I + G^H Sigma G)^{-1} a_k."""
@@ -74,91 +36,3 @@ def sinr_eve_upper(pre: Precoder, ch: ChannelSet, p, Sigma, sigma2):
     C = _eve_noise_cov(ch, Sigma, sigma2)
     X = hermitian_solve(C, A)
     return p * np.einsum("zk,zk->k", A.conj(), X).real
-
-
-def secrecy_bounds(sinr_k, sinr_e, sinr_e_upper, rate_threshold):
-    """Secrecy rate and its two lower bounds, per stream, in bits.
-
-    Returns (c_se, c_se_l1, c_se_l2); each is clamped at zero per stream.
-    """
-    c_k = np.log2(1.0 + np.asarray(sinr_k, dtype=float))
-    c_e = np.log2(1.0 + np.asarray(sinr_e, dtype=float))
-    c_e_up = np.log2(1.0 + np.asarray(sinr_e_upper, dtype=float))
-    c_se = np.maximum(c_k - c_e, 0.0)
-    c_se_l1 = np.maximum(c_k - c_e_up, 0.0)
-    c_se_l2 = np.maximum(rate_threshold - c_e_up, 0.0)
-    return c_se, c_se_l1, c_se_l2
-
-
-def stream_metrics(pre: Precoder, ch: ChannelSet, p, Sigma, sigma2, rate_threshold) -> StreamMetrics:
-    """Evaluate every per-stream metric for a candidate design."""
-    s_u = sinr_user(pre, ch, p, Sigma, sigma2)
-    s_e = sinr_eve_full(pre, ch, p, Sigma, sigma2)
-    s_up = sinr_eve_upper(pre, ch, p, Sigma, sigma2)
-    _, l1, l2 = secrecy_bounds(s_u, s_e, s_up, rate_threshold)
-    return StreamMetrics(
-        sinr_user=s_u,
-        sinr_eve=s_e,
-        sinr_eve_upper=s_up,
-        c_k=np.log2(1.0 + s_u),
-        c_se_l1=l1,
-        c_se_l2=l2,
-    )
-
-
-_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-
-
-def _qpsk_slice(s):
-    return (np.sign(s.real) + 1j * np.sign(s.imag)) / np.sqrt(2.0)
-
-
-def ser_monte_carlo(pre: Precoder, ch: ChannelSet, p, Sigma, sigma2, constellation="qpsk",
-                    trials=10_000, rng_seed=0):
-    """Monte Carlo SER comparison at Eve for stream 1.
-
-    ser_ml_full: exhaustive joint ML detection over the full K-stream model.
-    ser_mf_reduced: whitened matched filter on the reduced single-stream
-    model (the model behind the SINR upper bound).
-    Returns (ser_ml_full, ser_mf_reduced).
-    """
-    if constellation != "qpsk":
-        raise ValueError("only QPSK is supported")
-    if trials < 10_000:
-        raise ValueError("need at least 1e4 trials")
-    p = np.asarray(p, dtype=float)
-    A = pre.A  # Z x K
-    Z, K = A.shape
-    C = _eve_noise_cov(ch, Sigma, sigma2)
-    w_eig, V = np.linalg.eigh(C)
-    Wh = (V / np.sqrt(w_eig)) @ V.conj().T  # C^{-1/2}
-    Ch = (V * np.sqrt(w_eig)) @ V.conj().T  # C^{1/2}
-
-    rng = _rng(rng_seed, stream=2)
-    sym_idx = rng.integers(0, 4, size=(trials, K))
-    symbols = _QPSK[sym_idx]  # trials x K
-    noise = (rng.standard_normal((trials, Z)) + 1j * rng.standard_normal((trials, Z))) / np.sqrt(2.0)
-    # Row-vector convention: a column sample Ch @ w has covariance C, and its
-    # transpose is w_row @ Ch.T; whitening a row is r @ Wh.T.
-    noise = noise @ Ch.T
-    Wh_row = Wh.T
-
-    scaled = A * np.sqrt(p)  # Z x K, column k = sqrt(p_k) a_k
-
-    # Full model, joint ML over all 4^K symbol combinations.
-    r_full = symbols @ scaled.T + noise  # trials x Z
-    r_w = r_full @ Wh_row
-    combos = np.stack(np.meshgrid(*([np.arange(4)] * K), indexing="ij"), axis=-1).reshape(-1, K)
-    combo_sig = _QPSK[combos] @ (scaled.T @ Wh_row)  # (4^K) x Z
-    cross = r_w @ combo_sig.conj().T  # trials x 4^K
-    d2 = np.sum(np.abs(combo_sig) ** 2, axis=1)[None, :] - 2.0 * cross.real
-    best = np.argmin(d2, axis=1)
-    ser_ml_full = float(np.mean(combos[best, 0] != sym_idx[:, 0]))
-
-    # Reduced model: only stream 1 present; whitened matched filter.
-    r_red = symbols[:, :1] * scaled[:, 0][None, :] + noise
-    a_hat = Wh_row.T @ scaled[:, 0]  # whitened effective vector
-    s_hat = (r_red @ Wh_row) @ a_hat.conj() / np.sum(np.abs(a_hat) ** 2)
-    ser_mf_reduced = float(np.mean(_qpsk_slice(s_hat) != symbols[:, 0]))
-
-    return ser_ml_full, ser_mf_reduced

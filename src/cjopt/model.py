@@ -10,14 +10,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IllConditioned
-from .numerics import COND_LIMIT
+from .numerics import well_conditioned
 
 __all__ = [
     "SystemParams",
     "ChannelSet",
     "Precoder",
     "db_to_linear",
-    "linear_to_db",
     "generate_rayleigh",
     "channel_inversion_precoder",
     "precoder_from_unit_columns",
@@ -28,10 +27,6 @@ __all__ = [
 
 def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    return 10.0 * np.log10(x)
 
 
 @dataclass(frozen=True)
@@ -155,8 +150,7 @@ def channel_inversion_precoder(ch: ChannelSet, tau) -> Precoder:
     F (F^H F)^{-1}, which zero-forces the other users' streams."""
     F = ch.F
     gram = F.conj().T @ F
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    if not well_conditioned(gram):
         raise IllConditioned("user channels nearly collinear: cond(F^H F) > 1e12")
     U_tilde = F @ np.linalg.inv(gram)
     U = U_tilde / np.linalg.norm(U_tilde, axis=0, keepdims=True)

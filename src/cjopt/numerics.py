@@ -7,7 +7,7 @@ conditioning guards that the solvers rely on.
 
 import numpy as np
 
-from .errors import IllConditioned, NotHermitian, NotPSD
+from .errors import IllConditioned, NotHermitian
 
 HERMITIAN_RTOL = 1e-12
 COND_LIMIT = 1e12
@@ -39,6 +39,13 @@ def hermitian_cond(A):
     return hi / lo
 
 
+def well_conditioned(M):
+    """True when the 2-norm condition number of M is finite and at most
+    COND_LIMIT: the test every solver applies before inverting M."""
+    c = np.linalg.cond(M)
+    return bool(np.isfinite(c) and c <= COND_LIMIT)
+
+
 def hermitian_solve(A, B):
     """Solve A X = B for Hermitian positive-definite A.
 
@@ -50,31 +57,3 @@ def hermitian_solve(A, B):
     if hermitian_cond(A) > COND_LIMIT:
         raise IllConditioned("Hermitian solve: condition estimate exceeds 1e12")
     return np.linalg.solve(A, B)
-
-
-def eig_hermitian(A):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with real eigenvalues sorted in
-    descending order and unitary eigenvector columns, so that
-    A = V diag(w) V^H.
-    """
-    A = check_hermitian(A)
-    w, V = np.linalg.eigh(A)
-    return w[::-1].copy(), V[:, ::-1].copy()
-
-
-def psd_sqrt(A):
-    """Hermitian square root of a PSD matrix.
-
-    Eigenvalues in [-1e-10 * max_eig, 0) are clamped to zero (round-off
-    from Gram products); anything lower raises NotPSD.
-    """
-    w, V = eig_hermitian(A)
-    wmax = max(w.max(initial=0.0), 0.0)
-    tol = 1e-10 * wmax
-    if w.min(initial=0.0) < -tol:
-        raise NotPSD(f"eigenvalue {w.min():.3e} below -1e-10 * {wmax:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.conj().T
-

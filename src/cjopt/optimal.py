@@ -9,6 +9,7 @@ from .errors import IllConditioned, NumericalFailure, RankDeficient
 from .feasibility import optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, ReciprocalSum
 from .model import ChannelSet, Precoder, SystemParams
+from .numerics import well_conditioned
 from .report import Design
 
 __all__ = ["compute_phi", "solve_spectrum", "solve_eq14", "build_sigma", "solve_optimal"]
@@ -26,12 +27,10 @@ def compute_phi(G, B):
     GG = G.conj().T @ G
     GB = G.conj().T @ B
     BB = B.conj().T @ B
-    cond_bb = np.linalg.cond(BB)
-    if not np.isfinite(cond_bb) or cond_bb > 1e12:
+    if not well_conditioned(BB):
         raise IllConditioned("B^H B is singular to working precision")
     schur = GG - GB @ np.linalg.solve(BB, GB.conj().T)
-    cond_s = np.linalg.cond(schur)
-    if not np.isfinite(cond_s) or cond_s > 1e12:
+    if not well_conditioned(schur):
         raise IllConditioned("jamming Schur complement is singular (need L >= K + Z)")
     phi = np.diag(np.linalg.inv(schur)).real
     if np.any(phi <= 0):
@@ -110,8 +109,7 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     lam = np.clip(lam, 0.0, None)
     joint = np.hstack([ch.G, ch.B])
     gram = joint.conj().T @ joint
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    if not well_conditioned(gram):
         raise RankDeficient("[G B] lost full column rank; need L >= K + Z")
     Z = ch.G.shape[1]
     K = ch.B.shape[1]

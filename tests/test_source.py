@@ -31,3 +31,38 @@ def test_benchmark_layers_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in layers.values()
                if not callable(getattr(importlib.import_module(mod), attr, None))]
     assert layers and not missing, f"benchmark layers missing from cjopt: {missing}"
+
+
+def test_src_reachable_from_cli():
+    # Every top-level function and class in src/ is reached by name from
+    # cli.main or a module-level statement; code only the tests call
+    # belongs in tests/.
+    defs = {}  # name -> [(module, node)]
+    roots = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.append(node)
+    main = [node for mod, node in defs.get("main", []) if mod == "cli"]
+    assert main, "cli.main not found"
+    reached = {("cli", "main")}
+    todo = roots + main
+    while todo:
+        for sub in ast.walk(todo.pop()):
+            if isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+            else:
+                continue
+            for mod, node in defs.get(name, []):
+                if (mod, name) not in reached:
+                    reached.add((mod, name))
+                    todo.append(node)
+    unreached = sorted(f"{mod}.{name}" for name, entries in defs.items()
+                       for mod, _ in entries if (mod, name) not in reached)
+    assert not unreached, f"defined in src/ but unreachable from the CLI: {unreached}"
