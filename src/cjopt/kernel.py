@@ -17,6 +17,16 @@ gives one row per finite bound, as in ``ConvexProgram.atoms``), flat
 quadratic maps M_i are stacked with 2 M_i^T M_i computed once. One
 evaluator then gives g, its Jacobian and the weighted Hessian sum of the
 whole program in a few array passes.
+
+The programs are small (a few to a few dozen variables), so a Newton step
+costs numpy calls more than arithmetic, and the compiled form does at
+compile time whatever does not depend on v: the 2 M_i^T M_i are flattened
+into one (n_quads, n*n) matrix that one product with the weight row turns
+into the quadratic Hessian; the reciprocal terms carry their derivative
+coefficients and powers and their flat scatter indices, the Jacobian cells
+row*n + var (a repeated cell sums its terms) and the Hessian diagonal; and
+the strict-interior thresholds are fixed per row. A program without a
+Quadratic skips the quadratic block of g, the Jacobian and the Hessian.
 """
 
 from dataclasses import dataclass, field
@@ -145,48 +155,64 @@ class _Stacked:
         self.b = np.array(b, dtype=float)
         self.box = np.array(box, dtype=bool)
         self.A[~self.box, n0:] = -1.0  # the slack column, if there is one
+        self.strict_limit = -_STRICT_MARGIN * (1.0 + np.abs(self.b))
         rec = np.array(rec, dtype=float).reshape(-1, 4).T.copy()
         self.r_row, self.r_var = rec[:2].astype(int)
         self.r_coeff, self.r_pow = rec[2:]
+        # d/dx c/x**p = -p c / x**(p+1) and d2/dx2 c/x**p = p (p+1) c / x**(p+2).
+        self.r_dcoeff, self.r_dpow = -self.r_pow * self.r_coeff, self.r_pow + 1
+        self.r_ccoeff, self.r_cpow = self.r_pow * (self.r_pow + 1) * self.r_coeff, self.r_pow + 2
+        # Flat scatter targets: the distinct Jacobian cells row * n + var with
+        # each term's cell among them, and the diagonal of an n x n Hessian.
+        self.j_cells, self.j_cell_of = np.unique(self.r_row * n + self.r_var, return_inverse=True)
+        self.diag = np.arange(n) * (n + 1)
+        self.has_quad = bool(quads)
         self.q_rows = np.array([q[0] for q in quads], dtype=int)
         self.M = np.vstack([q[1] for q in quads] + [np.zeros((0, n))])
         self.d = np.concatenate([q[2] for q in quads] + [np.zeros(0)])
         # Q groups the stacked rows of M by quadratic: (Q @ (r * r))_j = ||M_j v + d_j||^2.
         owner = np.repeat(np.arange(len(quads)), [q[1].shape[0] for q in quads])
         self.Q = (np.arange(len(quads))[:, None] == owner).astype(float)
-        self.H2 = np.array([2.0 * (M.T @ M) for _, M, _ in quads]).reshape(len(quads), n, n)
+        # Every 2 M_j^T M_j flattened to one row, so that the weighted sum is one matrix product.
+        self.H2 = np.array([2.0 * (M.T @ M) for _, M, _ in quads]).reshape(len(quads), n * n)
 
     def g(self, v):
         """Every g_i(v), or None outside the domain (a reciprocal variable <= 0)."""
         x = v[self.r_var]
-        if np.any(x <= 0.0):
+        if (x <= 0.0).any():
             return None
         g = self.A @ v - self.b
         g += np.bincount(self.r_row, self.r_coeff / x**self.r_pow, minlength=self.m)
-        g[self.q_rows] += self.Q @ (self.M @ v + self.d) ** 2
+        if self.has_quad:
+            g[self.q_rows] += self.Q @ (self.M @ v + self.d) ** 2
         return g
 
-    def interior(self, v, margin=0.0):
-        """g(v) if every g_i(v) < -margin * (1 + |b_i|), else None."""
+    def interior(self, v, strict=False):
+        """g(v) if every g_i(v) < 0, or with ``strict`` every
+        g_i(v) < -_STRICT_MARGIN * (1 + |b_i|); else None."""
         g = self.g(v)
-        if g is None or not np.all(np.isfinite(g) & (g < -margin * (1.0 + np.abs(self.b)))):
+        if g is None or not (np.isfinite(g) & (g < (self.strict_limit if strict else 0.0))).all():
             return None
         return g
 
     def jac(self, v):
         """The m x n Jacobian of g at v (inside the domain)."""
-        x = v[self.r_var]
         J = self.A.copy()
-        J[self.q_rows] += 2.0 * (self.Q * (self.M @ v + self.d)) @ self.M
-        np.add.at(J, (self.r_row, self.r_var), -self.r_pow * self.r_coeff / x ** (self.r_pow + 1))
+        if self.has_quad:
+            J[self.q_rows] += 2.0 * (self.Q * (self.M @ v + self.d)) @ self.M
+        dg = self.r_dcoeff / v[self.r_var] ** self.r_dpow
+        J.reshape(-1)[self.j_cells] += np.bincount(self.j_cell_of, dg, minlength=len(self.j_cells))
         return J
 
     def hess(self, v, w):
         """sum_i w_i * (Hessian of g_i at v)."""
-        x = v[self.r_var]
-        curv = self.r_pow * (self.r_pow + 1) * self.r_coeff / x ** (self.r_pow + 2)
-        H = np.tensordot(w[self.q_rows], self.H2, axes=1)
-        H[np.diag_indices(self.n)] += np.bincount(self.r_var, w[self.r_row] * curv, minlength=self.n)
+        n = self.n
+        if self.has_quad:
+            H = np.dot(w[self.q_rows].reshape(1, -1), self.H2).reshape(n, n)
+        else:
+            H = np.zeros((n, n))
+        curv = self.r_ccoeff / v[self.r_var] ** self.r_cpow
+        H.reshape(-1)[self.diag] += np.bincount(self.r_var, w[self.r_row] * curv, minlength=n)
         return H
 
 
@@ -194,9 +220,10 @@ def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
     """Damped Newton on t * c.v - sum log(-g_i(v)) from an interior v.
     Returns (v, converged, newton_steps)."""
     def barrier(v, g):
-        return t * float(c_obj @ v) - float(np.sum(np.log(-g)))
+        return t * float(c_obj @ v) - float(np.log(-g).sum())
 
     g = S.g(v)
+    f0 = barrier(v, g)
     for step in range(max_newton):
         inv = 1.0 / (-g)
         J = S.jac(v)
@@ -205,8 +232,8 @@ def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
         reg = 0.0
         while True:
             try:
-                dx = np.linalg.solve(H + reg * np.eye(S.n), -grad)
-                if np.all(np.isfinite(dx)):
+                dx = np.linalg.solve(H if reg == 0.0 else H + reg * np.eye(S.n), -grad)
+                if np.isfinite(dx).all():
                     break
             except np.linalg.LinAlgError:
                 pass
@@ -214,20 +241,22 @@ def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
             if reg > 1e6:
                 raise NumericalFailure("Newton system unsolvable after regularization")
         dec2 = float(-grad @ dx)
-        f0 = barrier(v, g)
         # The decrement is resolution-limited by rounding in f itself once
         # t * |objective| is large, so the tolerance follows |f|.
         stall_tol = max(dec_tol, 1e-12 * abs(f0))
         if dec2 / 2.0 <= stall_tol:
             return v, True, step
-        # Backtracking line search keeping the iterate strictly interior.
+        # Backtracking line search keeping the iterate strictly interior;
+        # the accepted point's barrier value is the next step's f0.
         alpha = 1.0
         while alpha > 1e-14:
             v_new = v + alpha * dx
             g_new = S.interior(v_new)
-            if g_new is not None and barrier(v_new, g_new) <= f0 - 0.25 * alpha * dec2:
-                v, g = v_new, g_new
-                break
+            if g_new is not None:
+                f_new = barrier(v_new, g_new)
+                if f_new <= f0 - 0.25 * alpha * dec2:
+                    v, g, f0 = v_new, g_new, f_new
+                    break
             alpha *= 0.5
         else:
             # No descent possible; report whatever centering we achieved.
@@ -304,7 +333,7 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     n = prog.n_vars
     S = _Stacked(prog)
     v0 = _phase_one_start(prog)
-    if S.interior(v0, _STRICT_MARGIN) is not None:
+    if S.interior(v0, strict=True) is not None:
         return v0
 
     g0 = S.g(v0)  # None only outside the domain, where w below is not interior either
@@ -318,7 +347,7 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     t = 1.0
     for _ in range(40):
         w, _, _ = _center(S1, c_obj, t, w)
-        if S.interior(w[:n], _STRICT_MARGIN) is not None:
+        if S.interior(w[:n], strict=True) is not None:
             return w[:n].copy()
         if S1.m / t <= 1e-9 * (1.0 + abs(w[n])):
             break

@@ -174,15 +174,16 @@ def _direct_values(cons, v):
 
 
 def _random_program(rng, n):
-    """A program mixing all four kinds, strictly feasible at the returned
-    point, which has every variable in [0.5, 2]."""
+    """A program mixing the four kinds, strictly feasible at the returned
+    point, which has every variable in [0.5, 2]. It may lack reciprocal or
+    quadratic terms, and a reciprocal sum may name one variable twice."""
     v = rng.uniform(0.5, 2.0, n)
     cons = []
-    for _ in range(rng.integers(1, 3)):
+    for _ in range(rng.integers(0, 3)):
         k = int(rng.integers(1, n + 1))
-        cons.append(ReciprocalSum(idx=rng.choice(n, k, replace=False), coeff=rng.uniform(0.1, 2.0, k),
+        cons.append(ReciprocalSum(idx=rng.choice(n, k, replace=True), coeff=rng.uniform(0.1, 2.0, k),
                                   power=rng.choice([1.0, 2.0], k), a=rng.standard_normal(n), b=0.0))
-    for _ in range(rng.integers(1, 3)):
+    for _ in range(rng.integers(0, 3)):
         rows = int(rng.integers(1, n + 2))
         cons.append(Quadratic(M=rng.standard_normal((rows, n)), d=rng.standard_normal(rows),
                               a=rng.standard_normal(n), b=0.0))
@@ -221,7 +222,11 @@ def test_stacked_form_matches_formulas_and_differences(seed, n, slack):
 
     h = 1e-6
     w = rng.uniform(0.1, 2.0, S.m)
+    A = S.A.copy()
     J, H = S.jac(v), S.hess(v, w)
+    # A second evaluation agrees, and neither edits the compiled A in place.
+    assert np.array_equal(S.jac(v), J) and np.array_equal(S.hess(v, w), H)
+    assert np.array_equal(S.A, A)
     for j in range(S.n):
         e = np.zeros(S.n)
         e[j] = h
