@@ -7,6 +7,12 @@ matrix. Two convex blocks are alternated: the spectrum x (leaked powers
 c fixed) and the leaked powers c (spectrum fixed). The block objective is
 the high-power approximation of the per-stream SINR bound at Eve; all
 reported metrics reinstate the noise exactly.
+
+The real variable vectors of the three block programs are laid out as
+[x | Re W | Im W | eta] (spectrum block with leak caps), [x | eta]
+(cap-free spectrum block) and [c | Re W | Im W | eta] (cap block), with W
+flattened row-major. W is (L-Z) x Z, so it is empty when L = Z and the
+same code serves every jammer antenna count.
 """
 
 from dataclasses import dataclass, replace as dc_replace
@@ -70,6 +76,7 @@ class _AltWorkspace:
         self.R = self.P.conj().T @ ch.B  # Z x K
         self.Nb = self.N.conj().T @ ch.B  # (L - Z) x K
         self.nw = 2 * self.Lz * self.Z  # real scalars in the W embedding
+        self.W0 = np.zeros((self.Lz, self.Z), complex)  # W of the minimal-norm factor
         self.delta_colsum = self.Mdelta.sum(axis=0)
         self.kernel_status = "Converged"  # MaxIterations once any block solve ran out
 
@@ -84,22 +91,21 @@ class _AltWorkspace:
         return float(np.max(self.p_of(c_tilde) * self.s_of(x)))
 
     def gamma_of(self, x, W):
-        gh = self.P @ np.diag(np.asarray(x, dtype=float)).astype(np.complex128)
-        if self.Lz:
-            gh = gh + self.N @ W
+        gh = self.P @ np.diag(np.asarray(x, dtype=float)).astype(np.complex128) + self.N @ W
         return gh.conj().T  # Z x L
 
     def leaks_of(self, x, W):
-        y = np.asarray(x, dtype=float)[:, None] * self.R
-        if self.Lz:
-            y = y + W.conj().T @ self.Nb
+        y = np.asarray(x, dtype=float)[:, None] * self.R + W.conj().T @ self.Nb
         return np.sum(np.abs(y) ** 2, axis=0)
 
     def trace_of(self, x, W):
-        t = float(np.sum(self.pj2 * np.asarray(x, dtype=float) ** 2))
-        if self.Lz:
-            t += float(np.sum(np.abs(W) ** 2))
-        return t
+        tx = float(np.sum(self.pj2 * np.asarray(x, dtype=float) ** 2))
+        return tx + float(np.sum(np.abs(W) ** 2))
+
+    def state_at(self, c_tilde, x, W, iteration):
+        """The state at the block point (c_tilde, x, W)."""
+        return AlternatingState(c_tilde=c_tilde, x=x, W=W, Gamma=self.gamma_of(x, W),
+                                eta=self.eta_eval(c_tilde, x), iteration=iteration)
 
     def w_from_flat(self, flat):
         half = self.nw // 2
@@ -110,27 +116,27 @@ class _AltWorkspace:
     def w_to_flat(self, W):
         return np.concatenate([W.real.ravel(), W.imag.ravel()])
 
-    def leak_real_map(self, k, n, x_off=None, w_off=None, x_fixed=None):
-        """Real 2Z x n map (M, d) with ||M v + d||^2 = ||Gamma b_k||^2."""
-        Z, Lz = self.Z, self.Lz
+    def leak_real_map(self, k, n, w_off, x_off=None, x_fixed=None):
+        """Real 2Z x n map (M, d) with ||M v + d||^2 = ||Gamma b_k||^2, for
+        W flattened at w_off and x either at x_off or fixed to x_fixed."""
+        Z = self.Z
         M = np.zeros((2 * Z, n))
         d = np.zeros(2 * Z)
+        j = np.arange(Z)
         if x_off is not None:
-            for j in range(Z):
-                M[j, x_off + j] = self.R[j, k].real
-                M[Z + j, x_off + j] = self.R[j, k].imag
+            M[j, x_off + j] = self.R[:, k].real
+            M[Z + j, x_off + j] = self.R[:, k].imag
         else:
             yconst = np.asarray(x_fixed, dtype=float) * self.R[:, k]
             d[:Z] = yconst.real
             d[Z:] = yconst.imag
-        if w_off is not None and Lz:
-            half = Lz * Z
-            for m in range(Lz):
-                for j in range(Z):
-                    M[j, w_off + m * Z + j] = self.Nb[m, k].real
-                    M[Z + j, w_off + m * Z + j] = self.Nb[m, k].imag
-                    M[j, w_off + half + m * Z + j] = self.Nb[m, k].imag
-                    M[Z + j, w_off + half + m * Z + j] = -self.Nb[m, k].real
+        # Entry i = m Z + j of the flat W is W[m, j], which adds Nb[m, k] W[m, j] to y_j.
+        half = self.nw // 2
+        i = np.arange(half)
+        nb = np.repeat(self.Nb[:, k], Z)
+        re, im = w_off + i, w_off + half + i
+        M[i % Z, re], M[Z + i % Z, re] = nb.real, nb.imag
+        M[i % Z, im], M[Z + i % Z, im] = nb.imag, -nb.real
         return M, d
 
 
@@ -143,47 +149,28 @@ def _block_solve(ws: _AltWorkspace, prog):
     return sol
 
 
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
 def _spectrum_program(ws: _AltWorkspace, pj2, p, budget, start, leak_caps=None):
     """Block program over (x, W, eta): minimize the largest high-power
     SINR bound subject to the trace budget and optional leak caps. The
     spectrum part of the trace is sum_j pj2_j x_j^2; W enters only with
     leak caps."""
-    Z, nw = ws.Z, ws.nw
-    with_w = leak_caps is not None and ws.Lz > 0
-    n = Z + (nw if with_w else 0) + 1
-    eta_i = n - 1
-    cons = []
+    Z = ws.Z
+    nw = ws.nw if leak_caps is not None else 0
+    n = Z + nw + 1
+    E = np.eye(n)
     # Trace budget: diagonal quadratic (P columns are orthogonal to N).
-    rows = []
-    for j in range(Z):
-        rows.append(np.sqrt(pj2[j]) * _unit(n, j))
-    if with_w:
-        for i in range(nw):
-            rows.append(_unit(n, Z + i))
-    cons.append(Quadratic(M=np.array(rows), d=np.zeros(len(rows)), a=np.zeros(n), b=budget))
+    M = np.vstack([np.sqrt(pj2)[:, None] * E[:Z], E[Z : Z + nw]])
+    cons = [Quadratic(M=M, d=np.zeros(Z + nw), a=np.zeros(n), b=budget)]
     for k in range(ws.K):
-        cons.append(
-            ReciprocalSum(
-                idx=np.arange(Z),
-                coeff=p[k] * ws.abs_a2[:, k],
-                power=2 * np.ones(Z),
-                a=-_unit(n, eta_i),
-                b=0.0,
-            )
-        )
+        cons.append(ReciprocalSum(idx=np.arange(Z), coeff=p[k] * ws.abs_a2[:, k],
+                                  power=2 * np.ones(Z), a=-E[n - 1], b=0.0))
     if leak_caps is not None:
         for k in range(ws.K):
-            M, d = ws.leak_real_map(k, n, x_off=0, w_off=Z if with_w else None)
+            M, d = ws.leak_real_map(k, n, Z, x_off=0)
             cons.append(Quadratic(M=M, d=d, a=np.zeros(n), b=float(leak_caps[k])))
     for j in range(Z):
         cons.append(Box(idx=j, lo=_X_FLOOR))
-    return ConvexProgram(n_vars=n, objective=_unit(n, eta_i), constraints=cons,
+    return ConvexProgram(n_vars=n, objective=E[n - 1], constraints=cons,
                          strictly_feasible_point=start)
 
 
@@ -208,86 +195,58 @@ def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
                              leak_caps=state.c_tilde)
     sol = _block_solve(ws, prog)
     x_new = np.maximum(sol.x[: ws.Z], _X_FLOOR)
-    W_new = ws.w_from_flat(sol.x[ws.Z : ws.Z + ws.nw]) if ws.Lz else np.zeros((ws.Lz, ws.Z), complex)
+    W_new = ws.w_from_flat(sol.x[ws.Z : ws.Z + ws.nw])
     # Monotone safeguard: the incumbent block value is always feasible.
     if ws.eta_eval(state.c_tilde, x_new) > ws.eta_eval(state.c_tilde, state.x):
         x_new, W_new = state.x, state.W
-    return dc_replace(
-        state,
-        x=x_new,
-        W=W_new,
-        Gamma=ws.gamma_of(x_new, W_new),
-        eta=ws.eta_eval(state.c_tilde, x_new),
-    )
+    return ws.state_at(state.c_tilde, x_new, W_new, state.iteration)
 
 
 def _step1_start(ws: _AltWorkspace, state: AlternatingState, budget):
     """Shrink the incumbent slightly: scaling (x, W) down keeps every leak
     cap and the trace budget strictly slack."""
-    n = ws.Z + (ws.nw if ws.Lz else 0) + 1
     shrink = 1.0 - 1e-3
     x0 = np.maximum(state.x * shrink, _X_FLOOR * 2)
     W0 = state.W * shrink
     if ws.trace_of(x0, W0) >= budget or np.any(ws.leaks_of(x0, W0) >= state.c_tilde):
         return None  # fall back to phase one
-    v0 = np.empty(n)
-    v0[: ws.Z] = x0
-    if ws.Lz:
-        v0[ws.Z : ws.Z + ws.nw] = ws.w_to_flat(W0)
     p = ws.p_of(state.c_tilde)
-    v0[n - 1] = 1.01 * float(np.max(p * ws.s_of(x0))) + 1e-12
-    return v0
+    eta0 = 1.01 * float(np.max(p * ws.s_of(x0))) + 1e-12
+    return np.concatenate([x0, ws.w_to_flat(W0), [eta0]])
 
 
-def _step1_zero_forcing(ws: _AltWorkspace, ch: ChannelSet, state: AlternatingState) -> AlternatingState:
+def _step1_zero_forcing(ws: _AltWorkspace, S, state: AlternatingState) -> AlternatingState:
     """First block update at c = 0 when [G B] has full column rank: the
     leak caps become equalities, solved exactly by restricting Gamma^H to
-    the minimal-norm solution of the stacked equality system."""
-    p = ws.p_of(state.c_tilde)
+    the minimal-norm solution S diag(x) of the stacked equality system."""
+    c = np.zeros(ws.K)
+    p = ws.p_of(c)
     budget = ws.params.p_tot - float(p.sum())
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    joint = np.hstack([ch.G, ch.B])
-    gram = joint.conj().T @ joint
-    S = (joint @ np.linalg.inv(gram))[:, : ws.Z]  # columns scale with x_j
     x_new, _ = _cap_free_spectrum(ws, np.sum(np.abs(S) ** 2, axis=0), p, budget)
-    gamma_h = S @ np.diag(x_new).astype(np.complex128)
-    W_new = ws.N.conj().T @ gamma_h if ws.Lz else np.zeros((0, ws.Z), complex)
-    return dc_replace(
-        state,
-        x=x_new,
-        W=W_new,
-        Gamma=gamma_h.conj().T,
-        eta=ws.eta_eval(state.c_tilde, x_new),
-    )
+    W_new = ws.N.conj().T @ (S @ np.diag(x_new).astype(np.complex128))
+    return ws.state_at(c, x_new, W_new, state.iteration)
 
 
 def _step2(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
     """Given the spectrum, update the leaked-power caps (and the
     null-space component of Gamma)."""
-    Z, K, nw = ws.Z, ws.K, ws.nw
+    K, nw = ws.K, ws.nw
     x = state.x
     s_k = ws.s_of(x)
     tx = float(np.sum(ws.pj2 * x**2))
-    n = K + (nw if ws.Lz else 0) + 1
-    w_off = K if ws.Lz else None
-    eta_i = n - 1
+    n = K + nw + 1
+    E = np.eye(n)
     cons = []
     for k in range(K):
-        M, d = ws.leak_real_map(k, n, w_off=w_off, x_fixed=x)
-        cons.append(Quadratic(M=M, d=d, a=-_unit(n, k), b=0.0))
+        M, d = ws.leak_real_map(k, n, K, x_fixed=x)
+        cons.append(Quadratic(M=M, d=d, a=-E[k], b=0.0))
     # Power: ||W||^2 + tx + sum_k delta_k . (c + sigma2 1) <= P_tot.
-    rows = [_unit(n, w_off + i) for i in range(nw)] if ws.Lz else []
     a_pow = np.zeros(n)
     a_pow[:K] = ws.delta_colsum
-    cons.append(
-        Quadratic(
-            M=np.array(rows) if rows else np.zeros((0, n)),
-            d=np.zeros(len(rows)),
-            a=a_pow,
-            b=ws.params.p_tot - tx - ws.sigma2 * float(ws.delta_colsum.sum()),
-        )
-    )
+    cons.append(Quadratic(M=E[K : K + nw], d=np.zeros(nw), a=a_pow,
+                          b=ws.params.p_tot - tx - ws.sigma2 * float(ws.delta_colsum.sum())))
     for k in range(K):
         delta_k = ws.Mdelta[k]
         a = np.zeros(n)
@@ -295,32 +254,22 @@ def _step2(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
         cons.append(LinearIneq(a=a, b=ws.sigma2 * float(delta_k.sum())))  # p_k >= 0
         a = np.zeros(n)
         a[:K] = s_k[k] * delta_k
-        a[eta_i] = -1.0
+        a[n - 1] = -1.0
         cons.append(LinearIneq(a=a, b=-ws.sigma2 * s_k[k] * float(delta_k.sum())))
     for k in range(K):
         cons.append(Box(idx=k, lo=0.0))
 
-    prog = ConvexProgram(
-        n_vars=n,
-        objective=_unit(n, eta_i),
-        constraints=cons,
-        strictly_feasible_point=_step2_start(ws, state, n, tx),
-    )
+    prog = ConvexProgram(n_vars=n, objective=E[n - 1], constraints=cons,
+                         strictly_feasible_point=_step2_start(ws, state, tx))
     sol = _block_solve(ws, prog)
     c_new = np.maximum(sol.x[:K], 0.0)
-    W_new = ws.w_from_flat(sol.x[w_off : w_off + nw]) if ws.Lz else np.zeros((0, Z), complex)
+    W_new = ws.w_from_flat(sol.x[K : K + nw])
     if ws.eta_eval(c_new, x) > ws.eta_eval(state.c_tilde, x):
         c_new, W_new = state.c_tilde, state.W
-    return dc_replace(
-        state,
-        c_tilde=c_new,
-        W=W_new,
-        Gamma=ws.gamma_of(x, W_new),
-        eta=ws.eta_eval(c_new, x),
-    )
+    return ws.state_at(c_new, x, W_new, state.iteration)
 
 
-def _step2_start(ws: _AltWorkspace, state: AlternatingState, n, tx):
+def _step2_start(ws: _AltWorkspace, state: AlternatingState, tx):
     """Incumbent with leak caps inflated just enough to be interior while
     keeping power slack."""
     leaks = ws.leaks_of(state.x, state.W)
@@ -336,12 +285,8 @@ def _step2_start(ws: _AltWorkspace, state: AlternatingState, n, tx):
     p0 = ws.p_of(c0)
     if np.any(p0 <= 0) or ws.trace_of(state.x, state.W) + p0.sum() >= ws.params.p_tot:
         return None
-    v0 = np.zeros(n)
-    v0[: ws.K] = c0
-    if ws.Lz:
-        v0[ws.K : ws.K + ws.nw] = ws.w_to_flat(state.W)
-    v0[n - 1] = 1.01 * float(np.max(p0 * ws.s_of(state.x))) + 1e-12
-    return v0
+    eta0 = 1.01 * float(np.max(p0 * ws.s_of(state.x))) + 1e-12
+    return np.concatenate([c0, ws.w_to_flat(state.W), [eta0]])
 
 
 def _leak_probe(ws: _AltWorkspace, state: AlternatingState):
@@ -360,26 +305,24 @@ def _leak_probe(ws: _AltWorkspace, state: AlternatingState):
     # solve still fits the total power budget.
     budget *= 1.0 - 1e-6
     x, _ = _cap_free_spectrum(ws, ws.pj2, p, budget)
-    W0 = np.zeros((ws.Lz, ws.Z), complex)
-    c = ws.leaks_of(x, W0) * (1.0 + 1e-9)
+    c = ws.leaks_of(x, ws.W0) * (1.0 + 1e-9)
     p_new = ws.p_of(c)
-    if np.any(p_new < 0) or ws.trace_of(x, W0) + float(p_new.sum()) > ws.params.p_tot:
+    if np.any(p_new < 0) or ws.trace_of(x, ws.W0) + float(p_new.sum()) > ws.params.p_tot:
         return None
-    return dc_replace(state, c_tilde=c, x=x, W=W0, Gamma=ws.gamma_of(x, W0),
-                      eta=ws.eta_eval(c, x))
+    return ws.state_at(c, x, ws.W0, state.iteration)
 
 
-def _warm_start_c(ws: _AltWorkspace) -> np.ndarray:
-    """Strictly feasible initial leak caps when exact zero-forcing is
-    impossible: take the minimal-norm factor at an equal-split spectrum
-    and cap at its actual leakage."""
+def _warm_start_c(ws: _AltWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly feasible initial leak caps and spectrum (c, x) when exact
+    zero-forcing is impossible: take the minimal-norm factor at an
+    equal-split spectrum and cap at its actual leakage."""
     p0 = ws.sigma2 * (ws.Mdelta @ np.ones(ws.K))
     h = ws.params.p_tot - float(p0.sum())
     x = np.sqrt(0.5 * h / (ws.Z * ws.pj2))
     for _ in range(200):
-        c = ws.leaks_of(x, np.zeros((ws.Lz, ws.Z), complex)) * (1.0 + 1e-6) + 1e-15
+        c = ws.leaks_of(x, ws.W0) * (1.0 + 1e-6) + 1e-15
         p = ws.p_of(c)
-        used = ws.trace_of(x, np.zeros((ws.Lz, ws.Z), complex)) + float(p.sum())
+        used = ws.trace_of(x, ws.W0) + float(p.sum())
         if np.all(p > 0) and used < ws.params.p_tot * (1.0 - 1e-9):
             return c, x
         x = x * 0.7
@@ -399,8 +342,10 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
         raise Infeasible("QoS thresholds unattainable within the budget")
     ws = _AltWorkspace(pre, ch, params)
     joint = np.hstack([ch.G, ch.B])
-    zf_possible = params.l >= params.k + params.z and well_conditioned(joint.conj().T @ joint)
+    gram = joint.conj().T @ joint
+    zf_possible = params.l >= params.k + params.z and well_conditioned(gram)
     if zf_possible:
+        S = (joint @ np.linalg.inv(gram))[:, : params.z]  # columns scale with x_j
         c0 = np.zeros(params.k)
         x0 = np.full(params.z, np.nan)
     else:
@@ -408,7 +353,7 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
     state = AlternatingState(
         c_tilde=c0,
         x=x0,
-        W=np.zeros((ws.Lz, params.z), complex),
+        W=ws.W0,
         Gamma=np.zeros((params.z, params.l), complex),
         eta=np.inf,
         iteration=0,
@@ -421,8 +366,7 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
         # interior; with enough jammer antennas the zero-cap case is solved
         # exactly by the reduced program instead.
         if zf_possible and float(np.max(state.c_tilde, initial=0.0)) <= 1e-9 * ws.sigma2:
-            state = dc_replace(state, c_tilde=np.zeros(params.k))
-            state = _step1_zero_forcing(ws, ch, state)
+            state = _step1_zero_forcing(ws, S, state)
         else:
             state = _step1(ws, state)
         eta_mid = state.eta
@@ -469,6 +413,6 @@ def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
     x, eta = _cap_free_spectrum(ws, ws.pj2, p0, budget)
-    Gamma = ws.gamma_of(x, np.zeros((ws.Lz, ws.Z), complex))
+    Gamma = ws.gamma_of(x, ws.W0)
     return Design(p=feas.p_candidate, x=x, Sigma=Gamma.conj().T @ Gamma, eta=eta,
                   status=ws.kernel_status, iterations=0)

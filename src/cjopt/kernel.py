@@ -118,6 +118,9 @@ class KernelSolution:
 
 
 _STRICT_MARGIN = 1e-9
+# Barrier schedule of solve and phase_one, and the Newton limits of _center.
+_T0, _MU, _GAP_TOL, _MAX_OUTER = 1.0, 10.0, 1e-9, 40
+_MAX_NEWTON, _DEC_TOL = 100, 1e-10
 
 
 class _Stacked:
@@ -216,7 +219,7 @@ class _Stacked:
         return H
 
 
-def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
+def _center(S: _Stacked, c_obj, t, v):
     """Damped Newton on t * c.v - sum log(-g_i(v)) from an interior v.
     Returns (v, converged, newton_steps)."""
     def barrier(v, g):
@@ -224,7 +227,7 @@ def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
 
     g = S.g(v)
     f0 = barrier(v, g)
-    for step in range(max_newton):
+    for step in range(_MAX_NEWTON):
         inv = 1.0 / (-g)
         J = S.jac(v)
         grad = t * c_obj + J.T @ inv
@@ -243,7 +246,7 @@ def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
         dec2 = float(-grad @ dx)
         # The decrement is resolution-limited by rounding in f itself once
         # t * |objective| is large, so the tolerance follows |f|.
-        stall_tol = max(dec_tol, 1e-12 * abs(f0))
+        stall_tol = max(_DEC_TOL, 1e-12 * abs(f0))
         if dec2 / 2.0 <= stall_tol:
             return v, True, step
         # Backtracking line search keeping the iterate strictly interior;
@@ -261,14 +264,13 @@ def _center(S: _Stacked, c_obj, t, v, max_newton=100, dec_tol=1e-10):
         else:
             # No descent possible; report whatever centering we achieved.
             return v, dec2 / 2.0 <= max(1e-6, 1e-9 * abs(f0)), step
-    return v, False, max_newton
+    return v, False, _MAX_NEWTON
 
 
-def solve(prog: ConvexProgram, t0=1.0, mu=10.0, gap_tol=1e-9, max_outer=40,
-          gap_ref=1.0) -> KernelSolution:
-    """Log-barrier solve with barrier parameter schedule t <- mu * t,
+def solve(prog: ConvexProgram, gap_ref=1.0) -> KernelSolution:
+    """Log-barrier solve with barrier parameter schedule t <- _MU * t,
     stopping when the duality-gap bound m/t drops below
-    gap_tol * (gap_ref + |objective|). gap_ref=0 gives a purely relative
+    _GAP_TOL * (gap_ref + |objective|). gap_ref=0 gives a purely relative
     stop for problems whose optimal value can be many orders of magnitude
     below 1 (it must then be strictly nonzero)."""
     S = _Stacked(prog)
@@ -278,22 +280,22 @@ def solve(prog: ConvexProgram, t0=1.0, mu=10.0, gap_tol=1e-9, max_outer=40,
         v = phase_one(prog)
     v = np.asarray(v, dtype=float).copy()
 
-    t = t0
+    t = _T0
     total_steps = 0
     path = []
     centered = True
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         v, centered, steps = _center(S, c_obj, t, v)
         total_steps += steps
         obj = float(c_obj @ v)
         path.append(obj)
-        if S.m / t <= gap_tol * (gap_ref + abs(obj)):  # S.m = len(prog.atoms())
+        if S.m / t <= _GAP_TOL * (gap_ref + abs(obj)):  # S.m = len(prog.atoms())
             break
-        t *= mu
+        t *= _MU
     else:
         obj = float(c_obj @ v)
 
-    status = "Converged" if (centered and S.m / t <= gap_tol * (gap_ref + abs(obj))) else "MaxIterations"
+    status = "Converged" if (centered and S.m / t <= _GAP_TOL * (gap_ref + abs(obj))) else "MaxIterations"
     kkt = np.abs(t * c_obj + S.jac(v).T @ (1.0 / -S.g(v))).max() / (t * max(1.0, np.abs(c_obj).max()))
     return KernelSolution(x=v, objective_value=obj, kkt_residual=float(kkt),
                           iterations=total_steps, status=status, path_objectives=path)
@@ -344,14 +346,14 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     if S1.interior(w) is None:
         raise NumericalFailure("phase one could not construct an interior start")
 
-    t = 1.0
-    for _ in range(40):
+    t = _T0
+    for _ in range(_MAX_OUTER):
         w, _, _ = _center(S1, c_obj, t, w)
         if S.interior(w[:n], strict=True) is not None:
             return w[:n].copy()
-        if S1.m / t <= 1e-9 * (1.0 + abs(w[n])):
+        if S1.m / t <= _GAP_TOL * (1.0 + abs(w[n])):
             break
-        t *= 10.0
+        t *= _MU
     # The comfortable margin was never reached; accept a bare interior
     # point if one emerged (feasible sets with tiny interiors are legal).
     if S.interior(w[:n]) is not None:

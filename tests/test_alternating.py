@@ -95,6 +95,28 @@ class TestStep2:
             assert state.c_tilde.max() > 0.0
 
 
+class TestLeakRealMap:
+    def test_embedding_matches_leaks(self):
+        # Z = 2, so L - Z = 0 (W empty), 1 and 2; the map must give the same
+        # ||Gamma b_k||^2 as leaks_of with x a variable and with x fixed.
+        rng = np.random.default_rng(7)
+        for l in (2, 3, 4):
+            params, ch, pre = make_instance(l, l=l)
+            ws = _AltWorkspace(pre, ch, params)
+            z, k_users = params.z, params.k
+            x = rng.uniform(0.5, 2.0, z)
+            W = rng.standard_normal((l - z, z)) + 1j * rng.standard_normal((l - z, z))
+            w = ws.w_to_flat(W)
+            leaks = ws.leaks_of(x, W)
+            for k in range(k_users):
+                v = np.concatenate([x, w, rng.standard_normal(1)])  # [x | Re W | Im W | eta]
+                M, d = ws.leak_real_map(k, v.size, x_off=0, w_off=z)
+                assert np.sum((M @ v + d) ** 2) == pytest.approx(leaks[k], rel=1e-10)
+                v = np.concatenate([rng.standard_normal(k_users), w, rng.standard_normal(1)])
+                M, d = ws.leak_real_map(k, v.size, w_off=k_users, x_fixed=x)  # [c | Re W | Im W | eta]
+                assert np.sum((M @ v + d) ** 2) == pytest.approx(leaks[k], rel=1e-10)
+
+
 class TestSolveAlternating:
     def test_matches_optimal_when_zero_forcing_possible(self):
         for seed in range(5):
@@ -104,7 +126,7 @@ class TestSolveAlternating:
             assert rep.eta <= d.eta * 1.05
 
     def test_constraints_hold_both_regimes(self):
-        for l in (6, 4):
+        for l in (6, 4, 2):
             for seed in range(5):
                 params, ch, pre = feasible_instance(seed, l=l)
                 _, design = solve_alternating(pre, ch, params)
