@@ -1,4 +1,4 @@
-"""Small log-barrier interior-point engine over real variables.
+"""Small primal-dual interior-point engine over real variables.
 
 The five convex programs of the artifact all reduce to a linear objective
 under a closed set of convex constraint kinds (linear, reciprocal-sum,
@@ -7,7 +7,7 @@ decision matrices enter through their real embedding before a program is
 assembled, so the kernel itself is purely real.
 
 ``solve`` and ``phase_one`` compile a program once into one stacked form
-(``_Stacked``). Every barrier term i reads
+(``_Stacked``). Every constraint row i reads
 
     g_i(v) = A_i . v - b_i + sum_t coeff_t / v[var_t]**power_t + ||M_i v + d_i||^2
 
@@ -17,6 +17,16 @@ gives one row per finite bound, as in ``ConvexProgram.atoms``), flat
 quadratic maps M_i are stacked with 2 M_i^T M_i computed once. One
 evaluator then gives g, its Jacobian and the weighted Hessian sum of the
 whole program in a few array passes.
+
+Both run one primal-dual path-following iteration (``_path``; Boyd &
+Vandenberghe, *Convex Optimization*, 11.7). It keeps a strictly interior v
+and multipliers lam > 0 and takes Newton steps towards the central point
+lam_i (-g_i(v)) = 1/t, c + J^T lam = 0. The Newton matrix depends on lam,
+not on t, so t grows by a fixed factor at every centered point without a
+second solve, and the multipliers carry the active set from one t to the
+next; a solve takes about a third of the Newton steps of a log-barrier
+schedule. The stop is a residual test at the final t: the barrier
+decrement and the spread of t lam_i s_i about 1.
 
 The programs are small (a few to a few dozen variables), so a Newton step
 costs numpy calls more than arithmetic, and the compiled form does at
@@ -29,6 +39,7 @@ the strict-interior thresholds are fixed per row. A program without a
 Quadratic skips the quadratic block of g, the Jacobian and the Hessian.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,7 +95,7 @@ class Quadratic:
 
 def _box_rows(box):
     """(sign, bound) for each finite side of a box: sign * v[idx] <= bound."""
-    return [(s, s * lim) for s, lim in ((-1.0, box.lo), (1.0, box.hi)) if np.isfinite(lim)]
+    return [(s, s * lim) for s, lim in ((-1.0, box.lo), (1.0, box.hi)) if math.isfinite(lim)]
 
 
 @dataclass(frozen=True)
@@ -118,9 +129,15 @@ class KernelSolution:
 
 
 _STRICT_MARGIN = 1e-9
-# Barrier schedule of solve and phase_one, and the Newton limits of _center.
-_T0, _MU, _GAP_TOL, _MAX_OUTER = 1.0, 10.0, 1e-9, 40
-_MAX_NEWTON, _DEC_TOL = 100, 1e-10
+# Path following (see _path): t starts where the start point is most
+# central, or at _T0, and grows by _MU (at most to just past the gap rule)
+# at every point centered to _CENTERED; the solve stops at the first t with
+# m/t <= _GAP_TOL * (gap_ref + |objective|) once the point is centered to
+# _FINAL, or after _MAX_STEPS Newton steps. A step goes _TO_BOUNDARY of
+# the way to the nearest boundary and must lower the barrier by
+# _DECREASE of its first-order prediction.
+_T0, _MU, _GAP_TOL, _MAX_STEPS = 1.0, 50.0, 1e-9, 200
+_CENTERED, _FINAL, _TO_BOUNDARY, _DECREASE = 0.5, 1e-3, 0.99, 0.01
 
 
 class _Stacked:
@@ -136,30 +153,37 @@ class _Stacked:
         n0 = prog.n_vars
         cons = list(prog.constraints) + ([slack_box] if slack_box is not None else [])
         n = n0 + (slack_box is not None)
-        A, b, box, rec, quads = [], [], [], [], []  # rec: (row, var, coeff, power) per term
+        lin, b, box, rec, quads = [], [], [], [], []  # rec: (row, var, coeff, power) x terms per sum
         for c in cons:
             if isinstance(c, Box):
                 for s, bound in _box_rows(c):
-                    A.append(np.where(np.arange(n) == c.idx, s, 0.0))
+                    box.append((len(b), c.idx, s))
                     b.append(bound)
-                    box.append(True)
                 continue
             if isinstance(c, ReciprocalSum):
-                rec.extend((len(b), j, cf, pw) for j, cf, pw in zip(c.idx, c.coeff, c.power))
+                rec.append(np.array([np.full(len(c.idx), len(b)), c.idx, c.coeff, c.power], dtype=float))
             elif isinstance(c, Quadratic):
-                quads.append((len(b), np.pad(c.M, ((0, 0), (0, n - n0))), np.asarray(c.d, dtype=float)))
+                M = np.zeros((len(c.M), n))
+                M[:, :n0] = c.M
+                quads.append((len(b), M, np.asarray(c.d, dtype=float)))
             elif not isinstance(c, LinearIneq):
                 raise TypeError(f"unsupported constraint kind {type(c).__name__}")
-            A.append(np.pad(np.asarray(c.a, dtype=float), (0, n - n0)))
+            lin.append((len(b), c.a))
             b.append(c.b)
-            box.append(False)
         self.m, self.n = len(b), n
-        self.A = np.array(A, dtype=float).reshape(self.m, n)
+        self.A = np.zeros((self.m, n))
         self.b = np.array(b, dtype=float)
-        self.box = np.array(box, dtype=bool)
-        self.A[~self.box, n0:] = -1.0  # the slack column, if there is one
+        self.box = np.zeros(self.m, dtype=bool)
+        if lin:
+            rows = [r for r, _ in lin]
+            self.A[rows, :n0] = np.array([a for _, a in lin], dtype=float)
+            self.A[rows, n0:] = -1.0  # the slack column, if there is one
+        if box:
+            rows, idx, sign = zip(*box)
+            self.A[rows, idx] = sign
+            self.box[list(rows)] = True
         self.strict_limit = -_STRICT_MARGIN * (1.0 + np.abs(self.b))
-        rec = np.array(rec, dtype=float).reshape(-1, 4).T.copy()
+        rec = np.hstack(rec + [np.zeros((4, 0))])
         self.r_row, self.r_var = rec[:2].astype(int)
         self.r_coeff, self.r_pow = rec[2:]
         # d/dx c/x**p = -p c / x**(p+1) and d2/dx2 c/x**p = p (p+1) c / x**(p+2).
@@ -219,86 +243,110 @@ class _Stacked:
         return H
 
 
-def _center(S: _Stacked, c_obj, t, v):
-    """Damped Newton on t * c.v - sum log(-g_i(v)) from an interior v.
-    Returns (v, converged, newton_steps)."""
-    def barrier(v, g):
-        return t * float(c_obj @ v) - float(np.log(-g).sum())
+def _newton(H, rhs):
+    """Solve H X = rhs, climbing a ridge ladder if H is singular."""
+    reg = 0.0
+    while True:
+        try:
+            X = np.linalg.solve(H if reg == 0.0 else H + reg * np.eye(len(H)), rhs)
+            if np.isfinite(X).all():
+                return X
+        except np.linalg.LinAlgError:
+            pass
+        reg = 1e-10 if reg == 0.0 else reg * 100.0
+        if reg > 1e6:
+            raise NumericalFailure("Newton system unsolvable after regularization")
 
+
+def _path(S: _Stacked, c, v, gap_ref, done=None) -> KernelSolution:
+    """Primal-dual path following from the interior point v.
+
+    With s = -g(v) and multipliers lam > 0, each step solves
+    (J^T diag(lam/s) J + sum_i lam_i Hess g_i) dv = -(c + J^T (1/(t s))) and
+    takes dlam = (lam/s) (J dv) - lam + 1/(t s). The matrix does not depend
+    on t, so one solve with the columns c and J^T (1/s) gives dv and the
+    decrement dec = t (c + J^T (1/(t s))) . (-dv) at any t. The first step
+    picks the t at which the start point's barrier decrement is least. A
+    point is centered when dec and max |t lam s - 1| are at most _CENTERED;
+    there t grows by _MU, until the gap bound holds and dec <= _FINAL, or
+    ``done(v)`` holds. dv is a descent direction of the barrier
+    t c.v - sum log s, which the line search lowers; lam takes its own
+    step. A line search that cannot lower the barrier ends the solve with
+    MaxIterations.
+
+    path_objectives are the objectives at the centered points where t grew
+    and at the last point; kkt_residual is the largest entry of the dual
+    residual c + J^T lam, relative to max(1, |c|).
+    """
     g = S.g(v)
-    f0 = barrier(v, g)
-    for step in range(_MAX_NEWTON):
-        inv = 1.0 / (-g)
+    lam = -1.0 / g  # 1/(t s) at t = 1
+    rhs = np.zeros((S.n, 2))
+    rhs[:, 0] = c
+    path = []
+    status = "MaxIterations"
+    for step in range(_MAX_STEPS + 1):
         J = S.jac(v)
-        grad = t * c_obj + J.T @ inv
-        H = (J.T * (inv * inv)) @ J + S.hess(v, inv)
-        reg = 0.0
-        while True:
-            try:
-                dx = np.linalg.solve(H if reg == 0.0 else H + reg * np.eye(S.n), -grad)
-                if np.isfinite(dx).all():
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            reg = 1e-10 if reg == 0.0 else reg * 100.0
-            if reg > 1e6:
-                raise NumericalFailure("Newton system unsolvable after regularization")
-        dec2 = float(-grad @ dx)
-        # The decrement is resolution-limited by rounding in f itself once
-        # t * |objective| is large, so the tolerance follows |f|.
-        stall_tol = max(_DEC_TOL, 1e-12 * abs(f0))
-        if dec2 / 2.0 <= stall_tol:
-            return v, True, step
-        # Backtracking line search keeping the iterate strictly interior;
-        # the accepted point's barrier value is the next step's f0.
-        alpha = 1.0
+        inv_s = -1.0 / g
+        w = lam * inv_s
+        rhs[:, 1] = J.T @ inv_s
+        X = _newton((J.T * w) @ J + S.hess(v, lam), rhs)
+        (cc, cu), (_, uu) = (rhs.T @ X).tolist()
+        if step == 0:
+            # At lam = 1/(t s) the matrix scales by 1/t, so the decrement
+            # is t^2 cc + 2 t cu + uu in the t = 1 products.
+            t = -cu / cc if cu < 0 else _T0
+            lam, w, X, cc, cu, uu = lam / t, w / t, X * t, cc * t, cu * t, uu * t
+        dec = t * cc + 2.0 * cu + uu / t
+        if dec <= _CENTERED and np.abs(t * lam * g + 1.0).max() <= _CENTERED:
+            obj = float(c @ v)
+            final = S.m / t <= _GAP_TOL * (gap_ref + abs(obj))
+            if (final and dec <= _FINAL) or (done is not None and done(v)):
+                path.append(obj)
+                status = "Converged"
+                break
+            if not final:
+                # The last rise stops just past the gap rule: a larger t only
+                # shrinks the slacks towards the rounding of g.
+                path.append(obj)
+                t = min(_MU * t, 1.01 * S.m / max(_GAP_TOL * (gap_ref + abs(obj)), 1e-300))
+                dec = t * cc + 2.0 * cu + uu / t
+        if step == _MAX_STEPS:
+            break
+        dv = X @ (-1.0, -1.0 / t)
+        Jdv = J @ dv
+        dlam = w * Jdv + inv_s / t - lam
+        # Go _TO_BOUNDARY of the way to where a linearized slack (for v) or
+        # a multiplier (for lam) reaches 0.
+        alpha = min(1.0, _TO_BOUNDARY / max((Jdv * inv_s).max(), 1e-300))
+        alpha_d = min(1.0, -_TO_BOUNDARY / min((dlam / lam).min(), -1e-300))
+        # Backtrack on the change of the barrier, summed term by term.
+        tcdv = t * float(c @ dv)
         while alpha > 1e-14:
-            v_new = v + alpha * dx
-            g_new = S.interior(v_new)
-            if g_new is not None:
-                f_new = barrier(v_new, g_new)
-                if f_new <= f0 - 0.25 * alpha * dec2:
-                    v, g, f0 = v_new, g_new, f_new
-                    break
+            trial = v + alpha * dv
+            g_new = S.interior(trial)
+            if g_new is not None and alpha * tcdv - float(np.log(g_new / g).sum()) <= -_DECREASE * alpha * dec:
+                break
             alpha *= 0.5
         else:
-            # No descent possible; report whatever centering we achieved.
-            return v, dec2 / 2.0 <= max(1e-6, 1e-9 * abs(f0)), step
-    return v, False, _MAX_NEWTON
+            break  # no step lowers the barrier
+        v, g = trial, g_new
+        lam = lam + alpha_d * dlam
+    kkt = np.abs(c + J.T @ lam).max() / max(1.0, np.abs(c).max())
+    return KernelSolution(x=v, objective_value=float(c @ v), kkt_residual=float(kkt),
+                          iterations=step, status=status, path_objectives=path)
 
 
 def solve(prog: ConvexProgram, gap_ref=1.0) -> KernelSolution:
-    """Log-barrier solve with barrier parameter schedule t <- _MU * t,
-    stopping when the duality-gap bound m/t drops below
-    _GAP_TOL * (gap_ref + |objective|). gap_ref=0 gives a purely relative
-    stop for problems whose optimal value can be many orders of magnitude
-    below 1 (it must then be strictly nonzero)."""
+    """Primal-dual solve (see _path), stopping at the first t whose
+    duality-gap bound m/t is below _GAP_TOL * (gap_ref + |objective|) once
+    the point is centered. gap_ref=0 gives a purely relative stop for
+    problems whose optimal value can be many orders of magnitude below 1
+    (it must then be strictly nonzero)."""
     S = _Stacked(prog)
-    c_obj = np.asarray(prog.objective, dtype=float)
     v = prog.strictly_feasible_point
     if v is None or S.interior(np.asarray(v, dtype=float)) is None:
         v = phase_one(prog)
-    v = np.asarray(v, dtype=float).copy()
-
-    t = _T0
-    total_steps = 0
-    path = []
-    centered = True
-    for _ in range(_MAX_OUTER):
-        v, centered, steps = _center(S, c_obj, t, v)
-        total_steps += steps
-        obj = float(c_obj @ v)
-        path.append(obj)
-        if S.m / t <= _GAP_TOL * (gap_ref + abs(obj)):  # S.m = len(prog.atoms())
-            break
-        t *= _MU
-    else:
-        obj = float(c_obj @ v)
-
-    status = "Converged" if (centered and S.m / t <= _GAP_TOL * (gap_ref + abs(obj))) else "MaxIterations"
-    kkt = np.abs(t * c_obj + S.jac(v).T @ (1.0 / -S.g(v))).max() / (t * max(1.0, np.abs(c_obj).max()))
-    return KernelSolution(x=v, objective_value=obj, kkt_residual=float(kkt),
-                          iterations=total_steps, status=status, path_objectives=path)
+    return _path(S, np.asarray(prog.objective, dtype=float), np.asarray(v, dtype=float).copy(), gap_ref)
 
 
 def _phase_one_start(prog: ConvexProgram):
@@ -329,8 +377,8 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     """Return a strictly feasible point or raise InfeasibleProgram.
 
     Standard auxiliary-slack minimization: minimize s subject to
-    g_i(v) <= s (boxes stay hard), stopping early once every constraint
-    has strictly negative slack.
+    g_i(v) <= s (boxes stay hard) on the path of solve, stopping at the
+    first centered point where every constraint has strictly negative slack.
     """
     n = prog.n_vars
     S = _Stacked(prog)
@@ -342,18 +390,9 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     s0 = -1.0 if g0 is None else max(g0[~S.box], default=-1.0)
     w = np.append(v0, abs(s0) * 1.1 + 1.0)
     S1 = _Stacked(prog, slack_box=Box(idx=n, lo=-1.0, hi=w[n] + 1.0))
-    c_obj = np.eye(n + 1)[n]
     if S1.interior(w) is None:
         raise NumericalFailure("phase one could not construct an interior start")
-
-    t = _T0
-    for _ in range(_MAX_OUTER):
-        w, _, _ = _center(S1, c_obj, t, w)
-        if S.interior(w[:n], strict=True) is not None:
-            return w[:n].copy()
-        if S1.m / t <= _GAP_TOL * (1.0 + abs(w[n])):
-            break
-        t *= _MU
+    w = _path(S1, np.eye(n + 1)[n], w, 1.0, done=lambda w: S.interior(w[:n], strict=True) is not None).x
     # The comfortable margin was never reached; accept a bare interior
     # point if one emerged (feasible sets with tiny interiors are legal).
     if S.interior(w[:n]) is not None:

@@ -3,7 +3,8 @@
 Eve's exact SINR, the secrecy rate with its two lower bounds and the
 symbol-error-rate Monte Carlo show that the upper bound the solvers
 minimize is sound; the Hermitian eigendecomposition and square root
-check the metric formulas against an independent factorization.
+check the metric formulas against an independent factorization; the
+Lagrange-dual lower bound on eq14 certifies the optimal spectrum.
 """
 
 import numpy as np
@@ -131,3 +132,34 @@ def psd_sqrt(A):
         raise NotPSD(f"eigenvalue {w.min():.3e} below -1e-10 * {wmax:.3e}")
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)) @ V.conj().T
+
+
+def eq14_dual_bound(abs_a2, p, phi, sigma2, p_tot, x, eta):
+    """Lagrange-dual lower bound on the optimum of eq14,
+
+        min_x max_k p_k sum_j |a_kj|^2 x_j
+        s.t. sum_j phi_j / x_j <= P_tot - sum(p) + sigma^2 sum(phi),  0 < x_j <= 1/sigma^2.
+
+    For weights w on the simplex, max_k c_k.x >= d.x with d = sum_k w_k c_k,
+    and for every nu >= 0 the Lagrangian of min d.x under the budget has
+    the minimizer x_j = min(1/sigma^2, sqrt(nu phi_j / d_j)). The weights
+    are read off the returned point, w_k proportional to 1 / (eta - c_k.x)
+    (the central-path multipliers), and nu is the root of the budget,
+    found by bisection on log10(nu).
+    """
+    C = abs_a2 * np.asarray(p, dtype=float)[None, :]  # column k is c_k
+    w = 1.0 / np.maximum(eta - C.T @ x, np.finfo(float).tiny)
+    d = C @ (w / w.sum())
+    budget = p_tot - float(np.sum(p)) + sigma2 * float(np.sum(phi))
+    cap = 1.0 / sigma2
+
+    def minimizer(nu):
+        return np.where(d > 0, np.minimum(cap, np.sqrt(nu * phi / np.where(d > 0, d, 1.0))), cap)
+
+    lo, hi = -300.0, 300.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.sum(phi / minimizer(10.0 ** mid)) > budget else (lo, mid)
+    nu = 10.0 ** hi
+    xs = minimizer(nu)
+    return float(d @ xs + nu * (np.sum(phi / xs) - budget))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt.alternating import gamma_nullspace_param
+from cjopt import kernel
+from cjopt.alternating import gamma_nullspace_param, solve_alternating
 from cjopt.errors import InfeasibleProgram, RankDeficient
+from cjopt.feasibility import check_existence
 from cjopt.kernel import (
     Box,
     ConvexProgram,
@@ -16,6 +18,9 @@ from cjopt.kernel import (
     phase_one,
     solve,
 )
+from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
+from cjopt.optimal import compute_phi, solve_optimal
+from reference import eq14_dual_bound
 
 
 def test_min_x_above_one():
@@ -234,6 +239,123 @@ def test_stacked_form_matches_formulas_and_differences(seed, n, slack):
         assert J[:, j] == pytest.approx(dg, rel=1e-6, abs=1e-6)
         dgrad = (S.jac(v + e).T @ w - S.jac(v - e).T @ w) / (2 * h)
         assert H[:, j] == pytest.approx(dgrad, rel=1e-5, abs=1e-5)
+
+
+def _closed_form_program():
+    # min eta s.t. 2 x <= eta, 3 / x <= 1.5, 0 < x <= 10  ->  x* = 2.
+    return ConvexProgram(
+        n_vars=2,
+        objective=np.array([0.0, 1.0]),
+        constraints=[
+            LinearIneq(a=np.array([2.0, -1.0]), b=0.0),
+            ReciprocalSum(idx=np.array([0]), coeff=np.array([3.0]),
+                          power=np.array([1.0]), a=np.zeros(2), b=1.5),
+            Box(idx=0, lo=1e-9, hi=10.0),
+        ],
+        strictly_feasible_point=np.array([4.0, 10.0]),
+    )
+
+
+def _nonlinear_program():
+    # min v0 s.t. ||v - (3, 3)||^2 <= 1, 1/v0 + 1/v1^2 <= 2, v1 <= 10, from phase one.
+    return ConvexProgram(
+        n_vars=2,
+        objective=np.array([1.0, 0.0]),
+        constraints=[
+            Quadratic(M=np.eye(2), d=np.array([-3.0, -3.0]), a=np.zeros(2), b=1.0),
+            ReciprocalSum(idx=np.array([0, 1]), coeff=np.ones(2), power=np.array([1.0, 2.0]),
+                          a=np.zeros(2), b=2.0),
+            Box(idx=1, hi=10.0),
+        ],
+    )
+
+
+@pytest.mark.parametrize("build, gap_ref", [(_closed_form_program, 0.0), (_nonlinear_program, 1.0)])
+def test_kkt_residual_small_when_converged(build, gap_ref):
+    sol = solve(build(), gap_ref)
+    assert sol.status == "Converged"
+    assert 0.0 <= sol.kkt_residual <= 1e-9
+
+
+@pytest.mark.parametrize("limits", [{"_MAX_STEPS": 3}, {"_DECREASE": 1e12}])
+def test_stalled_solve_is_not_converged(monkeypatch, limits):
+    # A step limit reached, or a line search that can never lower the
+    # barrier, must not be reported as a converged solve.
+    for name, value in limits.items():
+        monkeypatch.setattr(kernel, name, value)
+    prog = _closed_form_program()
+    sol = solve(prog, gap_ref=0.0)
+    assert sol.status == "MaxIterations"
+    assert sol.iterations <= 3
+    assert _Stacked(prog).interior(sol.x) is not None
+
+
+def _counting_kernel(monkeypatch):
+    """Record every KernelSolution that kernel.solve returns."""
+    sols = []
+    real = kernel.solve
+
+    def counted(prog, gap_ref=1.0):
+        sols.append(real(prog, gap_ref))
+        return sols[-1]
+
+    monkeypatch.setattr(kernel, "solve", counted)
+    return sols
+
+
+@pytest.fixture(scope="module")
+def eve_sweep_solves():
+    """solve_optimal on the paper's Eve-antenna sweep (N=20, K=10, L=35,
+    Z=5..20, rng_seed 0-11): the feasible draws with their designs, and
+    every kernel solution."""
+    with pytest.MonkeyPatch.context() as mp:
+        sols = _counting_kernel(mp)
+        draws = []
+        for z in (5, 10, 15, 20):
+            params = SystemParams(n=20, k=10, l=35, z=z, sigma2=1.0, tau=10.0, p_tot=10.0)
+            for seed in range(12):
+                ch = generate_rayleigh(params, rng_seed=seed)
+                pre = channel_inversion_precoder(ch, params.tau)
+                if check_existence(pre, params).feasible:
+                    draws.append((params, ch, pre, solve_optimal(pre, ch, params)))
+    return draws, sols
+
+
+class TestPaperSizeSolves:
+    def test_eq14_dual_certificate(self, eve_sweep_solves):
+        # The final point must be centered well enough that the central-path
+        # weights 1 / (eta - c_k.x) give a Lagrange bound within 1e-6 of eta.
+        draws, _ = eve_sweep_solves
+        assert len(draws) == 24
+        for params, ch, pre, d in draws:
+            assert d.status == "Converged"
+            lb = eq14_dual_bound(np.abs(pre.A) ** 2, d.p, compute_phi(ch.G, ch.B), params.sigma2,
+                                 params.p_tot, d.x, d.eta)
+            assert -1e-9 * d.eta <= d.eta - lb <= 1e-6 * d.eta
+
+    def test_kkt_residual_small(self, eve_sweep_solves):
+        _, sols = eve_sweep_solves
+        assert all(s.status == "Converged" and s.kkt_residual <= 1e-9 for s in sols)
+
+    def test_eq14_newton_steps_halved(self, eve_sweep_solves):
+        # The log-barrier schedule (t0 = 1, mu = 10) took 62.5 steps per solve here.
+        draws, sols = eve_sweep_solves
+        assert len(sols) == len(draws)
+        assert np.mean([s.iterations for s in sols]) <= 62.5 / 2
+
+    def test_alternating_newton_steps_halved(self, monkeypatch):
+        # The leaky regime (L < K + Z): the log-barrier schedule took 95
+        # steps per block program on such draws.
+        params = SystemParams(n=10, k=3, l=17, z=15, sigma2=1.0, tau=10 ** 0.3, p_tot=1e4)
+        ch = generate_rayleigh(params, gain_db_b=-30.0, rng_seed=0)
+        pre = channel_inversion_precoder(ch, params.tau)
+        assert check_existence(pre, params).feasible
+        sols = _counting_kernel(monkeypatch)
+        _, design = solve_alternating(pre, ch, params)
+        assert design.status == "Converged"
+        assert len(sols) >= 5
+        assert all(s.status == "Converged" and s.kkt_residual <= 1e-9 for s in sols)
+        assert np.mean([s.iterations for s in sols]) <= 95 / 2
 
 
 # The null-space parametrization is part of cjopt.alternating, its only user.
