@@ -1,5 +1,9 @@
 """Comparison designs: fixed power split between transmitter and jammer,
-no jamming at all, and the many-antenna performance limit."""
+no jamming at all, and the many-antenna performance limit. The fixed split
+and the limit solve the jamming-spectrum program of cjopt.optimal in its
+two steps: the inputs, then the Design."""
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -7,13 +11,14 @@ from .errors import Infeasible
 from .feasibility import optimal_power
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
-from .optimal import build_sigma, compute_phi, solve_spectrum
+from .optimal import Spectrum, compute_phi, solve_spectrum, solved, spectrum_design
 from .report import Design
 
-__all__ = ["solve_fixed_split", "no_jamming_report", "l_infinity_limit"]
+__all__ = ["fixed_split_spectrum", "fixed_split_design", "solve_fixed_split", "no_jamming_report",
+           "l_inf_spectrum", "l_inf_design", "l_infinity_limit"]
 
 
-def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split=0.5) -> Design:
+def fixed_split_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, split=0.5) -> Spectrum:
     """Fixed power split: the transmitter keeps the minimal QoS allocation
     (which must fit in split * P_tot) and the jammer spends the remaining
     (1 - split) * P_tot regardless of what the transmitter left unused."""
@@ -27,10 +32,19 @@ def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split
         )
     jam_budget = (1.0 - split) * params.p_tot
     phi = compute_phi(ch.G, ch.B)
-    x, eta, status, _ = solve_spectrum(np.abs(pre.A) ** 2, p, phi, jam_budget,
-                                       jam_budget + params.sigma2 * float(phi.sum()), params)
-    _, Sigma = build_sigma(ch, x, params.sigma2)
-    return Design(p=p, x=x, Sigma=Sigma, eta=eta, status=status, iterations=0)
+    return Spectrum(np.abs(pre.A) ** 2, p, phi, jam_budget, jam_budget + params.sigma2 * float(phi.sum()),
+                    params.sigma2, params.p_tot)
+
+
+def fixed_split_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
+    """The fixed-split Design of a solved spectrum (a baseline: iterations 0)."""
+    return replace(spectrum_design(ch, params, spec, result), iterations=0)
+
+
+def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split=0.5) -> Design:
+    """fixed_split_spectrum and fixed_split_design around a batch of one."""
+    spec = fixed_split_spectrum(pre, ch, params, split)
+    return fixed_split_design(ch, params, spec, solve_spectrum(Spectrum.stack([spec]))[0])
 
 
 def no_jamming_report(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
@@ -43,14 +57,25 @@ def no_jamming_report(pre: Precoder, ch: ChannelSet, params: SystemParams) -> De
                   status="Converged", iterations=0)
 
 
-def l_infinity_limit(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
+def l_inf_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Spectrum:
     """Large-jammer-array limit of the achievable eta: as the jammer grows
     its channels decorrelate and the per-direction jamming price tends to
-    1 / ||g_j||^2. A limit for an unbounded array, not a design on these
-    channels, so Sigma is None."""
+    1 / ||g_j||^2."""
     p = optimal_power(pre, params)
     phi = 1.0 / np.sum(np.abs(ch.G) ** 2, axis=0)
     headroom = params.p_tot - float(p.sum())
-    x, eta, status, _ = solve_spectrum(np.abs(pre.A) ** 2, p, phi, headroom,
-                                       headroom + params.sigma2 * float(phi.sum()), params)
-    return Design(p=p, x=x, Sigma=None, eta=eta, status=status, iterations=0)
+    return Spectrum(np.abs(pre.A) ** 2, p, phi, headroom, headroom + params.sigma2 * float(phi.sum()),
+                    params.sigma2, params.p_tot)
+
+
+def l_inf_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
+    """The limit of a solved spectrum. A limit for an unbounded array, not
+    a design on these channels, so Sigma is None (and iterations 0)."""
+    x, eta, status, _ = solved(result)
+    return Design(p=spec.p, x=x, Sigma=None, eta=eta, status=status, iterations=0)
+
+
+def l_infinity_limit(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
+    """l_inf_spectrum and l_inf_design around a batch of one."""
+    spec = l_inf_spectrum(pre, ch, params)
+    return l_inf_design(ch, params, spec, solve_spectrum(Spectrum.stack([spec]))[0])

@@ -21,6 +21,7 @@ from .experiments import (
     summarize,
     write_csv,
 )
+from .feasibility import optimal_power
 from .model import (
     SystemParams,
     channel_inversion_precoder,
@@ -174,6 +175,7 @@ def cmd_oracle(args):
     )
     ch = generate_rayleigh(params, rng_seed=args.seed)
     pre = channel_inversion_precoder(ch, params.tau)
+    optimal_power(pre, params)  # the existence test (raises Infeasible) before the grid searches in vain
     result = grid_oracle(pre, ch, params, grid=args.grid, levels=args.levels)
     solver = "optimal" if params.l >= params.k + params.z else "alternating"
     solver_eta = SOLVER_TABLE[solver](pre, ch, params).eta

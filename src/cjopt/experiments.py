@@ -2,24 +2,42 @@
 on paired channel draws, and emit deterministic CSV.
 
 SOLVER_TABLE is the one place where a solver name is mapped to code; the
-sweep and `cjopt solve` both go through it.
+sweep and `cjopt solve` both go through it. SPECTRUM_TABLE splits the
+solvers that reduce to the jamming-spectrum program into their two steps,
+so that the sweep can solve all their programs as one batch.
 """
 
 import zlib
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .alternating import solve_alternating, solve_b_zero
-from .baselines import l_infinity_limit, no_jamming_report, solve_fixed_split
+from .baselines import (
+    fixed_split_design,
+    fixed_split_spectrum,
+    l_inf_design,
+    l_inf_spectrum,
+    l_infinity_limit,
+    no_jamming_report,
+    solve_fixed_split,
+)
 from .errors import CjoptError
 from .feasibility import check_existence
-from .model import SystemParams, channel_inversion_precoder, generate_rayleigh, perturb_csi
-from .optimal import solve_optimal
+from .model import (
+    ChannelSet,
+    Precoder,
+    SystemParams,
+    channel_inversion_precoder,
+    generate_rayleigh,
+    perturb_csi,
+)
+from .optimal import Spectrum, optimal_spectrum, solve_optimal, solve_spectrum, spectrum_design
 from .report import SolveReport, make_report
 
-__all__ = ["SOLVER_TABLE", "SOLVERS", "SweepSpec", "SweepRow", "run_solver", "run_sweep",
-           "summarize", "write_csv"]
+__all__ = ["SOLVER_TABLE", "SOLVERS", "SPECTRUM_TABLE", "SweepSpec", "SweepRow", "run_solver",
+           "run_sweep", "summarize", "write_csv"]
 
 
 # Each entry maps (pre, ch_design, params) to a Design. Entries look their
@@ -34,6 +52,19 @@ SOLVER_TABLE = {
     "l_inf_limit": lambda pre, ch, params: l_infinity_limit(pre, ch, params),
 }
 SOLVERS = tuple(SOLVER_TABLE)
+
+# The entries of SOLVER_TABLE that are a jamming-spectrum program between
+# two steps: name -> (the program's Spectrum from (pre, ch_design, params),
+# the Design from (ch_design, params, spectrum, solve_spectrum entry)).
+# Looked up by module-level name at call time, like SOLVER_TABLE.
+SPECTRUM_TABLE = {
+    "optimal": (lambda pre, ch, params: optimal_spectrum(pre, ch, params),
+                lambda ch, params, spec, result: spectrum_design(ch, params, spec, result)),
+    "fixed_split": (lambda pre, ch, params: fixed_split_spectrum(pre, ch, params),
+                    lambda ch, params, spec, result: fixed_split_design(ch, params, spec, result)),
+    "l_inf_limit": (lambda pre, ch, params: l_inf_spectrum(pre, ch, params),
+                    lambda ch, params, spec, result: l_inf_design(ch, params, spec, result)),
+}
 
 _AXES = ("Z", "P_tot", "tau", "L", "b_gain_db")
 
@@ -103,52 +134,89 @@ def _apply_axis(spec: SweepSpec, value):
     return params, gain
 
 
-def _run_trial(spec: SweepSpec, value, params, gain, trial):
-    ts = trial_seed(spec.seed, value, trial)
+def _draw(spec: SweepSpec, params, gain, ts):
+    """(pre, ch, ch_design) of the trial with seed ts, or the status of
+    its error row when the draw or the existence test fails."""
     try:
         ch = generate_rayleigh(params, gain_db_b=gain, rng_seed=ts)
         pre = channel_inversion_precoder(ch, params.tau)
-        draw_status = None if check_existence(pre, params).feasible else "Infeasible"
-        ch_design = perturb_csi(ch, spec.xi2, rng_seed=ts) if spec.xi2 else ch
+        if not check_existence(pre, params).feasible:
+            return "Infeasible"
+        return pre, ch, perturb_csi(ch, spec.xi2, rng_seed=ts) if spec.xi2 else ch
     except (CjoptError, np.linalg.LinAlgError) as exc:
-        draw_status = type(exc).__name__
-    rows = []
-    for solver in spec.solvers:
-        status, eta, lo, mean, iters, ok = draw_status, np.nan, np.nan, np.nan, 0, False
-        if status is None:
-            try:
-                rep = run_solver(solver, pre, ch, ch_design, params)
-                status, eta, iters, ok = rep.status, rep.eta, rep.iterations, True
-                lo, mean = float(np.min(rep.secrecy_lb)), float(np.mean(rep.secrecy_lb))
-            except (CjoptError, np.linalg.LinAlgError) as exc:
-                status = type(exc).__name__
-        rows.append(
-            SweepRow(
-                axis=spec.axis,
-                axis_value=float(value),
-                solver=solver,
-                trial_seed=ts,
-                feasible=ok,
-                eta=float(eta),
-                min_secrecy_lb=lo,
-                mean_secrecy_lb=mean,
-                iterations=int(iters),
-                status=status,
-            )
-        )
-    return rows
+        return type(exc).__name__
+
+
+def _row(spec: SweepSpec, value, solver, ts, rep: SolveReport = None, status=None) -> SweepRow:
+    """The row of a report, or of an error with its status."""
+    if rep is None:
+        return SweepRow(axis=spec.axis, axis_value=float(value), solver=solver, trial_seed=ts,
+                        feasible=False, eta=float("nan"), min_secrecy_lb=float("nan"),
+                        mean_secrecy_lb=float("nan"), iterations=0, status=status)
+    return SweepRow(axis=spec.axis, axis_value=float(value), solver=solver, trial_seed=ts, feasible=True,
+                    eta=float(rep.eta), min_secrecy_lb=float(np.min(rep.secrecy_lb)),
+                    mean_secrecy_lb=float(np.mean(rep.secrecy_lb)), iterations=int(rep.iterations),
+                    status=rep.status)
+
+
+class _Program(NamedTuple):
+    """A SPECTRUM_TABLE solver's trial between its two steps."""
+
+    value: float
+    solver: str
+    ts: int
+    params: SystemParams
+    pre: Precoder
+    ch: ChannelSet
+    ch_design: ChannelSet
+    spectrum: Spectrum
 
 
 def run_sweep(spec: SweepSpec):
     """One SweepRow per (axis value, solver, trial), ordered by
-    (axis value, solver, trial seed). Trials run one after another: they
-    are bound by small numpy calls under the interpreter lock, where a
-    thread pool measured slower than the serial loop."""
-    rows = []
+    (axis value, solver, trial seed). The sweep runs in three stages:
+
+    1. Every trial draws its channels and runs the existence test. The
+       solvers of SPECTRUM_TABLE build their Spectrum, the others design
+       and report at once.
+    2. The spectrum programs are solved as one kernel batch per (Z, K)
+       shape, all axis values and trials together (solve_spectrum).
+    3. Each solved spectrum becomes its Design and report.
+
+    A trial whose draw, existence test or spectrum inputs raise a
+    CjoptError keeps its error row, and so does a program whose solve or
+    design does; the rest of its batch is unaffected. A row is the one
+    run_solver gives on its trial."""
+    rows, programs = [], []
     for value in spec.axis_values:
         params, gain = _apply_axis(spec, value)
         for trial in range(spec.trials):
-            rows.extend(_run_trial(spec, value, params, gain, trial))
+            ts = trial_seed(spec.seed, value, trial)
+            draw = _draw(spec, params, gain, ts)
+            for solver in spec.solvers:
+                if isinstance(draw, str):
+                    rows.append(_row(spec, value, solver, ts, status=draw))
+                    continue
+                pre, ch, ch_design = draw
+                try:
+                    if solver in SPECTRUM_TABLE:
+                        spectrum = SPECTRUM_TABLE[solver][0](pre, ch_design, params)
+                        programs.append(_Program(value, solver, ts, params, pre, ch, ch_design, spectrum))
+                    else:
+                        rows.append(_row(spec, value, solver, ts, run_solver(solver, pre, ch, ch_design, params)))
+                except (CjoptError, np.linalg.LinAlgError) as exc:
+                    rows.append(_row(spec, value, solver, ts, status=type(exc).__name__))
+    batches = {}
+    for prog in programs:
+        batches.setdefault(prog.spectrum.abs_a2.shape, []).append(prog)
+    for batch in batches.values():
+        for prog, result in zip(batch, solve_spectrum(Spectrum.stack([p.spectrum for p in batch]))):
+            try:
+                design = SPECTRUM_TABLE[prog.solver][1](prog.ch_design, prog.params, prog.spectrum, result)
+                rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
+                rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
+            except (CjoptError, np.linalg.LinAlgError) as exc:
+                rows.append(_row(spec, prog.value, prog.solver, prog.ts, status=type(exc).__name__))
     value_order = {float(v): i for i, v in enumerate(spec.axis_values)}
     rows.sort(key=lambda r: (value_order[r.axis_value],
                              spec.solvers.index(r.solver), r.trial_seed))

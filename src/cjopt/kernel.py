@@ -6,49 +6,55 @@ convex-quadratic, box), given as the plain dataclasses below. Complex
 decision matrices enter through their real embedding before a program is
 assembled, so the kernel itself is purely real.
 
-``solve`` and ``phase_one`` compile a program once into one stacked form
-(``_Stacked``). Every constraint row i reads
+``solve_batch`` compiles programs of one structure into one stacked form
+(``_Stacked``) and solves them together; ``solve`` is a batch of one and
+``phase_one`` a batch of one with a slack. Every constraint row i of
+program k reads
 
-    g_i(v) = A_i . v - b_i + sum_t coeff_t / v[var_t]**power_t + ||M_i v + d_i||^2
+    g_ki(v) = A_ki . v - b_ki + sum_t coeff_kt / v[var_t]**power_t + ||M_ki v + d_ki||^2
 
 where one dense (A, b) holds the linear part of every constraint (a box
 gives one row per finite bound, as in ``ConvexProgram.atoms``), flat
 (row, var, coeff, power) arrays hold the reciprocal terms, and the
-quadratic maps M_i are stacked with 2 M_i^T M_i computed once. One
-evaluator then gives g, its Jacobian and the weighted Hessian sum of the
-whole program in a few array passes.
+quadratic maps M_ki are stacked with 2 M_ki^T M_ki computed once. The
+programs of a batch share n, the row layout, the reciprocal (row, var,
+power) pattern and the quadratic shapes; each has its own A, b,
+coefficients, M, d, objective and start point. The arrays carry a leading
+batch axis, left out for a batch of one, and whatever does not depend on
+v is done at compile time.
 
-Both run one primal-dual path-following iteration (``_path``; Boyd &
-Vandenberghe, *Convex Optimization*, 11.7). It keeps a strictly interior v
-and multipliers lam > 0 and takes Newton steps towards the central point
-lam_i (-g_i(v)) = 1/t, c + J^T lam = 0. The Newton matrix depends on lam,
-not on t, so t grows by a fixed factor at every centered point without a
-second solve, and the multipliers carry the active set from one t to the
-next; a solve takes about a third of the Newton steps of a log-barrier
-schedule. The stop is a residual test at the final t: the barrier
-decrement and the spread of t lam_i s_i about 1.
+Each program runs one primal-dual path-following iteration (``_path``;
+Boyd & Vandenberghe, *Convex Optimization*, 11.7). It keeps a strictly
+interior v and multipliers lam > 0 and takes Newton steps towards the
+central point lam_i (-g_i(v)) = 1/t, c + J^T lam = 0. The Newton matrix
+depends on lam, not on t, so t grows by a fixed factor at every centered
+point without a second solve, and the multipliers carry the active set
+from one t to the next. The stop is a residual test at the final t: the
+barrier decrement and the spread of t lam_i s_i about 1.
 
-The programs are small (a few to a few dozen variables), so a Newton step
-costs numpy calls more than arithmetic, and the compiled form does at
-compile time whatever does not depend on v: the 2 M_i^T M_i are flattened
-into one (n_quads, n*n) matrix that one product with the weight row turns
-into the quadratic Hessian; the reciprocal terms carry their derivative
-coefficients and powers and their flat scatter indices, the Jacobian cells
-row*n + var (a repeated cell sums its terms) and the Hessian diagonal; and
-the strict-interior thresholds are fixed per row. A program without a
-Quadratic skips the quadratic block of g, the Jacobian and the Hessian.
+The programs are small, so a Newton step costs numpy calls more than
+arithmetic; a batch shares those calls. Every program keeps its own t,
+lam, step lengths, line search, step count and status, decided in Python
+floats with the arithmetic of a lone solve, and leaves the batch when it
+stops. A program whose Newton matrix is singular climbs its own ridge
+ladder, and one whose ladder runs out stops with NumericalFailure while
+the rest of its batch runs on. Each vector operation acts on each
+program's slice alone, so a result is the same to the last bit in any
+batch as alone.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import InfeasibleProgram, NumericalFailure
+from .errors import CjoptError, InfeasibleProgram, NumericalFailure
 
 __all__ = ["LinearIneq", "Box", "ReciprocalSum", "Quadratic", "ConvexProgram", "KernelSolution",
-           "solve", "phase_one"]
+           "solve", "solve_batch", "phase_one"]
 
 
 @dataclass(frozen=True)
@@ -140,126 +146,230 @@ _T0, _MU, _GAP_TOL, _MAX_STEPS = 1.0, 50.0, 1e-9, 200
 _CENTERED, _FINAL, _TO_BOUNDARY, _DECREASE = 0.5, 1e-3, 0.99, 0.01
 
 
-class _Stacked:
-    """A ConvexProgram compiled into arrays (see the module docstring).
+def _compile(prog: ConvexProgram, slack_box):
+    """One program's rows: (layout, key, values). The layout (n, box rows,
+    reciprocal rows, variables and powers, quadratic rows and sizes) is
+    what a batch shares, and key is the layout in bytes, to compare; the
+    values (A, b, reciprocal coefficients, M, d) are the program's own.
 
-    With ``slack_box`` (phase one) the program gains the slack s = v[n_vars]
-    with that box's bounds, and every non-box row g_i(v) <= 0 becomes
-    g_i(v) - s <= 0: a -1 in the slack column of A, 0 on box rows, and a
-    zero slack column on each M.
+    With ``slack_box`` (phase one) the program gains the slack
+    s = v[n_vars] with that box's bounds, and every non-box row
+    g_i(v) <= 0 becomes g_i(v) - s <= 0: a -1 in the slack column of A,
+    0 on box rows, and a zero slack column on each M.
     """
+    n0 = prog.n_vars
+    cons = prog.constraints if slack_box is None else [*prog.constraints, slack_box]
+    n = n0 + (slack_box is not None)
+    b, lin_rows, lin_a, box_rows, box_idx, box_sign, recs, quads = [], [], [], [], [], [], [], []
+    for c in cons:
+        if isinstance(c, Box):
+            for sign, bound in _box_rows(c):
+                box_rows.append(len(b))
+                box_idx.append(c.idx)
+                box_sign.append(sign)
+                b.append(bound)
+            continue
+        if isinstance(c, ReciprocalSum):
+            recs.append((len(b), c))
+        elif isinstance(c, Quadratic):
+            quads.append((len(b), c))
+        elif not isinstance(c, LinearIneq):
+            raise TypeError(f"unsupported constraint kind {type(c).__name__}")
+        lin_rows.append(len(b))
+        lin_a.append(c.a)
+        b.append(c.b)
+    A = np.zeros((len(b), n))
+    is_box = np.zeros(len(b), dtype=bool)
+    if lin_rows:
+        A[lin_rows, :n0] = lin_a
+        A[lin_rows, n0:] = -1.0  # the slack column, if there is one
+    if box_rows:
+        A[box_rows, box_idx] = box_sign
+        is_box[box_rows] = True
+    # The reciprocal terms, flat: (row, var, coeff, power) for each.
+    r_row = np.repeat(np.array([r for r, _ in recs], dtype=int), [len(c.idx) for _, c in recs])
+    r_var, r_coeff, r_pow = (np.concatenate([np.asarray(getattr(c, f)) for _, c in recs] + [np.zeros(0)])
+                             for f in ("idx", "coeff", "power"))
+    r_var, r_coeff, r_pow = r_var.astype(int), r_coeff.astype(float), r_pow.astype(float)
+    q_rows = np.array([r for r, _ in quads], dtype=int)
+    q_sizes = [len(c.M) for _, c in quads]
+    M = np.zeros((sum(q_sizes), n))
+    if quads:
+        M[:, :n0] = np.vstack([c.M for _, c in quads])
+    d = np.concatenate([np.asarray(c.d, dtype=float) for _, c in quads] + [np.zeros(0)])
+    layout = (n, is_box, r_row, r_var, r_pow, q_rows, q_sizes)
+    key = (n, is_box.tobytes(), r_row.tobytes(), r_var.tobytes(), r_pow.tobytes(), q_rows.tobytes(),
+           tuple(q_sizes))
+    return layout, key, (A, np.array(b, dtype=float)[:, None], r_coeff[:, None], M, d[:, None])
 
-    def __init__(self, prog: ConvexProgram, slack_box=None):
-        n0 = prog.n_vars
-        cons = list(prog.constraints) + ([slack_box] if slack_box is not None else [])
-        n = n0 + (slack_box is not None)
-        lin, b, box, rec, quads = [], [], [], [], []  # rec: (row, var, coeff, power) x terms per sum
-        for c in cons:
-            if isinstance(c, Box):
-                for s, bound in _box_rows(c):
-                    box.append((len(b), c.idx, s))
-                    b.append(bound)
-                continue
-            if isinstance(c, ReciprocalSum):
-                rec.append(np.array([np.full(len(c.idx), len(b)), c.idx, c.coeff, c.power], dtype=float))
-            elif isinstance(c, Quadratic):
-                M = np.zeros((len(c.M), n))
-                M[:, :n0] = c.M
-                quads.append((len(b), M, np.asarray(c.d, dtype=float)))
-            elif not isinstance(c, LinearIneq):
-                raise TypeError(f"unsupported constraint kind {type(c).__name__}")
-            lin.append((len(b), c.a))
-            b.append(c.b)
-        self.m, self.n = len(b), n
-        self.A = np.zeros((self.m, n))
-        self.b = np.array(b, dtype=float)
-        self.box = np.zeros(self.m, dtype=bool)
-        if lin:
-            rows = [r for r, _ in lin]
-            self.A[rows, :n0] = np.array([a for _, a in lin], dtype=float)
-            self.A[rows, n0:] = -1.0  # the slack column, if there is one
-        if box:
-            rows, idx, sign = zip(*box)
-            self.A[rows, idx] = sign
-            self.box[list(rows)] = True
+
+class _Stacked:
+    """ConvexPrograms of one structure compiled into arrays (see the
+    module docstring and _compile).
+
+    Every per-program vector is a column: a point is (b, n, 1), g is
+    (b, m, 1), so that they multiply through BLAS without a reshape. For a
+    batch of one the leading axis is left out (a point is (n, 1), A is
+    (m, n)), so that a lone program pays no batch overhead; every method
+    works on axes counted from the end and serves both. The methods take
+    the points of all programs, of the first b after take(), or with
+    ``k`` of the programs k (never for a batch of one)."""
+
+    # The arrays that differ by program; take() slices them.
+    _OWN = ("A", "b", "strict_limit", "r_coeff", "r_dcoeff", "r_ccoeff", "M", "d", "H2")
+
+    def __init__(self, progs, slack_box=None):
+        compiled = [_compile(p, slack_box) for p in progs]
+        layout, key, values = compiled[0]
+        if any(other != key for _, other, _ in compiled[1:]):
+            raise ValueError("the programs of a batch must share one structure")
+        n, self.box, self.r_row, self.r_var, r_pow, self.q_rows, q_sizes = layout
+        B, self.m, self.n, self.T = len(progs), len(self.box), n, len(self.r_row)
+        self.one = B == 1
+        if not self.one:
+            values = (np.array(v) for v in zip(*(c[2] for c in compiled)))
+        self.A, self.b, self.r_coeff, self.M, self.d = values
         self.strict_limit = -_STRICT_MARGIN * (1.0 + np.abs(self.b))
-        rec = np.hstack(rec + [np.zeros((4, 0))])
-        self.r_row, self.r_var = rec[:2].astype(int)
-        self.r_coeff, self.r_pow = rec[2:]
         # d/dx c/x**p = -p c / x**(p+1) and d2/dx2 c/x**p = p (p+1) c / x**(p+2).
+        self.r_pow = r_pow[:, None]
         self.r_dcoeff, self.r_dpow = -self.r_pow * self.r_coeff, self.r_pow + 1
         self.r_ccoeff, self.r_cpow = self.r_pow * (self.r_pow + 1) * self.r_coeff, self.r_pow + 2
-        # Flat scatter targets: the distinct Jacobian cells row * n + var with
-        # each term's cell among them, and the diagonal of an n x n Hessian.
-        self.j_cells, self.j_cell_of = np.unique(self.r_row * n + self.r_var, return_inverse=True)
-        self.diag = np.arange(n) * (n + 1)
-        self.has_quad = bool(quads)
-        self.q_rows = np.array([q[0] for q in quads], dtype=int)
-        self.M = np.vstack([q[1] for q in quads] + [np.zeros((0, n))])
-        self.d = np.concatenate([q[2] for q in quads] + [np.zeros(0)])
+        # Flat scatter targets of the reciprocal terms of the programs in
+        # turn: the row (for g), the Jacobian cell row * n + var (a repeated
+        # cell sums its terms) and the Hessian diagonal entry, and the flat
+        # diagonal of each n x n matrix. The first b programs' are a prefix.
+        off = np.arange(B)[:, None]
+        self.g_idx = (self.r_row + self.m * off).ravel()
+        self.j_idx = (self.r_row * n + self.r_var + self.m * n * off).ravel()
+        self.h_idx = (self.r_var + n * off).ravel()
+        self.diag = (np.arange(n) * (n + 1) + n * n * off).ravel()
+        self.has_quad = bool(q_sizes)
         # Q groups the stacked rows of M by quadratic: (Q @ (r * r))_j = ||M_j v + d_j||^2.
-        owner = np.repeat(np.arange(len(quads)), [q[1].shape[0] for q in quads])
-        self.Q = (np.arange(len(quads))[:, None] == owner).astype(float)
+        owner = np.repeat(np.arange(len(q_sizes)), q_sizes)
+        self.Q = (np.arange(len(q_sizes))[:, None] == owner).astype(float)
         # Every 2 M_j^T M_j flattened to one row, so that the weighted sum is one matrix product.
-        self.H2 = np.array([2.0 * (M.T @ M) for _, M, _ in quads]).reshape(len(quads), n * n)
+        ends = np.cumsum(q_sizes, dtype=int)
+        self.H2 = np.zeros(self.M.shape[:-2] + (len(q_sizes), n * n))
+        for j, (size, end) in enumerate(zip(q_sizes, ends)):
+            Mj = self.M[..., end - size:end, :]
+            self.H2[..., j, :] = (2.0 * (Mj.swapaxes(-1, -2) @ Mj)).reshape(self.M.shape[:-2] + (n * n,))
 
-    def g(self, v):
-        """Every g_i(v), or None outside the domain (a reciprocal variable <= 0)."""
-        x = v[self.r_var]
-        if (x <= 0.0).any():
-            return None
-        g = self.A @ v - self.b
-        g += np.bincount(self.r_row, self.r_coeff / x**self.r_pow, minlength=self.m)
+    def take(self, keep):
+        """The programs picked by ``keep`` (an index array) of a batch."""
+        sub = copy.copy(self)
+        for name in self._OWN:
+            setattr(sub, name, getattr(self, name)[keep])
+        terms = len(keep) * self.T
+        sub.j_idx, sub.h_idx, sub.diag = self.j_idx[:terms], self.h_idx[:terms], self.diag[:len(keep) * self.n]
+        return sub
+
+    def each(self, values):
+        """A list of per-program numbers, shaped to broadcast against the
+        points: a (b, 1, 1) array, or the number itself for a batch of one."""
+        return values[0] if self.one else np.array(values).reshape(-1, 1, 1)
+
+    def point(self, x):
+        """One program's vector (for a batch of one) as a column."""
+        return np.asarray(x, dtype=float).reshape(-1, 1)
+
+    def g(self, v, k=None):
+        """Every g_ki(v_k), and a mask (b, 1, 1) of the programs whose v_k
+        lies in the domain (every reciprocal variable > 0), or None when
+        all of them do."""
+        if k is None:
+            A, b, r_coeff, M, d = self.A, self.b, self.r_coeff, self.M, self.d
+        else:
+            A, b, r_coeff, M, d = self.A[k], self.b[k], self.r_coeff[k], self.M[k], self.d[k]
+        x = v.take(self.r_var, axis=-2)
+        ok = None
+        if self.T and not x.min() > 0.0:
+            ok = ~(x <= 0.0).any(axis=-2, keepdims=True)
+            x = np.where(ok, x, 1.0)  # rows outside the domain are discarded
+        g = A @ v - b
+        g += np.bincount(self.g_idx[:x.size], (r_coeff / x**self.r_pow).ravel(),
+                         minlength=g.size).reshape(g.shape)
         if self.has_quad:
-            g[self.q_rows] += self.Q @ (self.M @ v + self.d) ** 2
-        return g
+            g[..., self.q_rows, :] += self.Q @ (M @ v + d) ** 2
+        return g, ok
 
-    def interior(self, v, strict=False):
-        """g(v) if every g_i(v) < 0, or with ``strict`` every
-        g_i(v) < -_STRICT_MARGIN * (1 + |b_i|); else None."""
-        g = self.g(v)
-        if g is None or not (np.isfinite(g) & (g < (self.strict_limit if strict else 0.0))).all():
-            return None
-        return g
+    def interior(self, v, strict=False, k=None):
+        """g(v), and a mask like g's of the programs with every g_i(v)
+        finite and < 0, or with ``strict`` < -_STRICT_MARGIN * (1 + |b_i|);
+        None when all of them pass."""
+        g, ok = self.g(v, k)
+        if not strict and ok is None and g.max() < 0.0 and g.min() > -np.inf:  # (NaN fails)
+            return g, None
+        limit = (self.strict_limit if k is None else self.strict_limit[k]) if strict else 0.0
+        inside = ((g < limit) & (g > -np.inf)).all(axis=-2, keepdims=True)
+        return g, inside if ok is None else inside & ok
 
     def jac(self, v):
-        """The m x n Jacobian of g at v (inside the domain)."""
-        J = self.A.copy()
-        if self.has_quad:
-            J[self.q_rows] += 2.0 * (self.Q * (self.M @ v + self.d)) @ self.M
-        dg = self.r_dcoeff / v[self.r_var] ** self.r_dpow
-        J.reshape(-1)[self.j_cells] += np.bincount(self.j_cell_of, dg, minlength=len(self.j_cells))
+        """The m x n Jacobian of every g_k at v_k (inside the domain)."""
+        A = self.A
+        rec = np.bincount(self.j_idx, (self.r_dcoeff / v.take(self.r_var, axis=-2) ** self.r_dpow).ravel(),
+                          minlength=A.size).reshape(A.shape)
+        if not self.has_quad:
+            return A + rec
+        J = A.copy()
+        r = self.M @ v + self.d
+        J[..., self.q_rows, :] += 2.0 * ((self.Q * r.swapaxes(-1, -2)) @ self.M)
+        J += rec
         return J
 
-    def hess(self, v, w):
-        """sum_i w_i * (Hessian of g_i at v)."""
-        n = self.n
+    def hess(self, v, w, base=None):
+        """sum_i w_ki * (Hessian of g_ki at v_k), for every program k; with
+        ``base`` (C-contiguous, shaped like the Hessians), added to it in
+        place."""
+        curv = self.r_ccoeff / v.take(self.r_var, axis=-2) ** self.r_cpow
+        diag = np.bincount(self.h_idx, (w.take(self.r_row, axis=-2) * curv).ravel(), minlength=v.size)
         if self.has_quad:
-            H = np.dot(w[self.q_rows].reshape(1, -1), self.H2).reshape(n, n)
-        else:
-            H = np.zeros((n, n))
-        curv = self.r_ccoeff / v[self.r_var] ** self.r_cpow
-        H.reshape(-1)[self.diag] += np.bincount(self.r_var, w[self.r_row] * curv, minlength=n)
+            H = w.take(self.q_rows, axis=-2).swapaxes(-1, -2) @ self.H2
+            H = H.reshape(v.shape[:-2] + (self.n, self.n))
+            H.reshape(-1)[self.diag] += diag
+            if base is None:
+                return H
+            base += H
+            return base
+        H = np.zeros(v.shape[:-2] + (self.n, self.n)) if base is None else base
+        H.reshape(-1)[self.diag] += diag
         return H
 
 
+_NONE = np.zeros(0, dtype=int)
+# The gufunc behind np.linalg.solve, without that function's per-call
+# checks and conversions (a third of a small solve's time). The kernel's
+# matrices are float64 and square by construction. A singular matrix gives
+# NaN, with an "invalid value" floating-point flag that _path's callers
+# silence.
+_solve = _umath_linalg.solve
+
+
 def _newton(H, rhs):
-    """Solve H X = rhs, climbing a ridge ladder if H is singular."""
-    reg = 0.0
-    while True:
-        try:
-            X = np.linalg.solve(H if reg == 0.0 else H + reg * np.eye(len(H)), rhs)
-            if np.isfinite(X).all():
-                return X
-        except np.linalg.LinAlgError:
-            pass
-        reg = 1e-10 if reg == 0.0 else reg * 100.0
-        if reg > 1e6:
-            raise NumericalFailure("Newton system unsolvable after regularization")
+    """Solve H_k X_k = rhs_k for every program k. A program whose X_k is
+    not finite climbs its own ridge ladder; returns X and the programs
+    whose system stayed unsolvable (their X_k is NaN)."""
+    X = _solve(H, rhs, signature="dd->d")
+    if np.isfinite(X).all():
+        return X, _NONE
+    n = H.shape[-1]
+    Hs, Rs, Xs = H.reshape(-1, n, n), rhs.reshape(-1, n, 2), X.reshape(-1, n, 2)
+    failed = []
+    for k in np.flatnonzero(~np.isfinite(Xs).all(axis=(1, 2))):
+        reg = 1e-10
+        while reg <= 1e6:
+            Xs[k] = _solve(Hs[k] + reg * np.eye(n), Rs[k], signature="dd->d")
+            if np.isfinite(Xs[k]).all():
+                break
+            reg *= 100.0
+        else:
+            Xs[k] = np.nan
+            failed.append(k)
+    return X, np.array(failed, dtype=int)
 
 
-def _path(S: _Stacked, c, v, gap_ref, done=None) -> KernelSolution:
-    """Primal-dual path following from the interior point v.
+def _path(S: _Stacked, c, v, gap_ref, done=None):
+    """Primal-dual path following from the interior points v, one per
+    program of S, with objectives c (both shaped like S's points).
 
     With s = -g(v) and multipliers lam > 0, each step solves
     (J^T diag(lam/s) J + sum_i lam_i Hess g_i) dv = -(c + J^T (1/(t s))) and
@@ -269,84 +379,205 @@ def _path(S: _Stacked, c, v, gap_ref, done=None) -> KernelSolution:
     picks the t at which the start point's barrier decrement is least. A
     point is centered when dec and max |t lam s - 1| are at most _CENTERED;
     there t grows by _MU, until the gap bound holds and dec <= _FINAL, or
-    ``done(v)`` holds. dv is a descent direction of the barrier
-    t c.v - sum log s, which the line search lowers; lam takes its own
-    step. A line search that cannot lower the barrier ends the solve with
-    MaxIterations.
+    ``done(v)`` holds (a mask like interior's). dv is a descent direction
+    of the barrier t c.v - sum log s, which the line search lowers; lam
+    takes its own step. A line search that cannot lower the barrier ends
+    the solve with MaxIterations.
 
+    The vector work runs on the whole batch at once. Each program's
+    numbers (t, dec, the step lengths, the line search's test) are Python
+    floats in lists, decided program by program with the arithmetic of a
+    lone solve, and a program that ends leaves the batch.
+
+    Returns one entry per program: its KernelSolution, or the
+    NumericalFailure of a Newton system that no ridge made solvable.
     path_objectives are the objectives at the centered points where t grew
     and at the last point; kkt_residual is the largest entry of the dual
     residual c + J^T lam, relative to max(1, |c|).
     """
-    g = S.g(v)
+    n = S.n
+    b = 1 if S.one else len(v)
+    out = [None] * b
+    live = list(range(b))  # the batch position of each program still running
+    paths = [[] for _ in out]
+    g = S.g(v)[0]
     lam = -1.0 / g  # 1/(t s) at t = 1
-    rhs = np.zeros((S.n, 2))
-    rhs[:, 0] = c
-    path = []
-    status = "MaxIterations"
+    rhs = np.concatenate([c, c], axis=-1)  # the columns c and J^T (1/s)
+    ct = c.swapaxes(-1, -2)
+    coef = np.full(c.shape[:-2] + (2, 1), -1.0)  # dv = X @ (-1, -1/t)
+
+    def finish(ks, status):
+        """Record the programs ks with ``status`` at the current point."""
+        for k in ks:
+            ck, vk = c.reshape(-1, n)[k], v.reshape(-1, n)[k]
+            Jk, lk = J.reshape(-1, S.m, n)[k], lam.reshape(-1, S.m)[k]
+            kkt = np.abs(ck + Jk.T @ lk).max() / max(1.0, np.abs(ck).max())
+            out[live[k]] = KernelSolution(x=vk.copy(), objective_value=float(ck @ vk),
+                                          kkt_residual=float(kkt), iterations=step, status=status,
+                                          path_objectives=paths[live[k]])
+
     for step in range(_MAX_STEPS + 1):
         J = S.jac(v)
         inv_s = -1.0 / g
         w = lam * inv_s
-        rhs[:, 1] = J.T @ inv_s
-        X = _newton((J.T * w) @ J + S.hess(v, lam), rhs)
-        (cc, cu), (_, uu) = (rhs.T @ X).tolist()
+        rhs[..., 1:] = J.swapaxes(-1, -2) @ inv_s
+        X, failed = _newton(S.hess(v, lam, (J * w).swapaxes(-1, -2) @ J), rhs)
+        P = (rhs.swapaxes(-1, -2) @ X).reshape(-1, 2, 2).tolist()  # per program ((cc, cu), (cu, uu))
         if step == 0:
             # At lam = 1/(t s) the matrix scales by 1/t, so the decrement
             # is t^2 cc + 2 t cu + uu in the t = 1 products.
-            t = -cu / cc if cu < 0 else _T0
-            lam, w, X, cc, cu, uu = lam / t, w / t, X * t, cc * t, cu * t, uu * t
-        dec = t * cc + 2.0 * cu + uu / t
-        if dec <= _CENTERED and np.abs(t * lam * g + 1.0).max() <= _CENTERED:
-            obj = float(c @ v)
-            final = S.m / t <= _GAP_TOL * (gap_ref + abs(obj))
-            if (final and dec <= _FINAL) or (done is not None and done(v)):
-                path.append(obj)
-                status = "Converged"
+            t = [-cu / cc if cu < 0 else _T0 for (cc, cu), _ in P]
+            P = [((cc * tk, cu * tk), (None, uu * tk)) for tk, ((cc, cu), (_, uu)) in zip(t, P)]
+            tcol = S.each(t)
+            coef.reshape(-1, 2)[:, 1] = [-1.0 / tk for tk in t]
+            lam, w, X = lam / tcol, w / tcol, X * tcol
+        dec = [tk * cc + 2.0 * cu + uu / tk for tk, ((cc, cu), (_, uu)) in zip(t, P)]
+        if failed.size or min(dec) <= _CENTERED or step == _MAX_STEPS:
+            ended = [False] * b
+            for k in failed:  # its dec is NaN, so it is not centered below
+                out[live[k]] = NumericalFailure("Newton system unsolvable after regularization")
+                ended[k] = True
+            centered = [k for k in range(b) if dec[k] <= _CENTERED]
+            if centered:
+                spread = np.abs(tcol * lam * g + 1.0).max(axis=-2).ravel().tolist()
+                centered = [k for k in centered if spread[k] <= _CENTERED]
+            if centered:
+                obj = (ct @ v).ravel().tolist()
+                stops = [] if done is None else done(v).ravel().tolist()
+                converged = []
+                for k in centered:
+                    final = S.m / t[k] <= _GAP_TOL * (gap_ref + abs(obj[k]))
+                    if (final and dec[k] <= _FINAL) or (stops and stops[k]):
+                        paths[live[k]].append(obj[k])
+                        converged.append(k)
+                        ended[k] = True
+                    elif not final:
+                        # The last rise stops just past the gap rule: a larger
+                        # t only shrinks the slacks towards the rounding of g.
+                        paths[live[k]].append(obj[k])
+                        t[k] = min(_MU * t[k], 1.01 * S.m / max(_GAP_TOL * (gap_ref + abs(obj[k])), 1e-300))
+                        coef.reshape(-1, 2)[k, 1] = -1.0 / t[k]
+                        (cc, cu), (_, uu) = P[k]
+                        dec[k] = t[k] * cc + 2.0 * cu + uu / t[k]
+                        tcol = S.each(t)
+                finish(converged, "Converged")
+            if step == _MAX_STEPS:
+                finish([k for k in range(b) if not ended[k]], "MaxIterations")
                 break
-            if not final:
-                # The last rise stops just past the gap rule: a larger t only
-                # shrinks the slacks towards the rounding of g.
-                path.append(obj)
-                t = min(_MU * t, 1.01 * S.m / max(_GAP_TOL * (gap_ref + abs(obj)), 1e-300))
-                dec = t * cc + 2.0 * cu + uu / t
-        if step == _MAX_STEPS:
-            break
-        dv = X @ (-1.0, -1.0 / t)
+            if True in ended:
+                keep = [k for k in range(b) if not ended[k]]
+                if not keep:
+                    break
+                S, v, g, lam, c, ct, rhs, coef, J, X, w, inv_s = _rows(
+                    keep, S, v, g, lam, c, ct, rhs, coef, J, X, w, inv_s)
+                t, dec, live, b = [t[k] for k in keep], [dec[k] for k in keep], [live[k] for k in keep], len(keep)
+                tcol = S.each(t)
+        dv = X @ coef
         Jdv = J @ dv
-        dlam = w * Jdv + inv_s / t - lam
+        dlam = w * Jdv + inv_s / tcol - lam
         # Go _TO_BOUNDARY of the way to where a linearized slack (for v) or
         # a multiplier (for lam) reaches 0.
-        alpha = min(1.0, _TO_BOUNDARY / max((Jdv * inv_s).max(), 1e-300))
-        alpha_d = min(1.0, -_TO_BOUNDARY / min((dlam / lam).min(), -1e-300))
-        # Backtrack on the change of the barrier, summed term by term.
-        tcdv = t * float(c @ dv)
-        while alpha > 1e-14:
-            trial = v + alpha * dv
-            g_new = S.interior(trial)
-            if g_new is not None and alpha * tcdv - float(np.log(g_new / g).sum()) <= -_DECREASE * alpha * dec:
+        reach = np.concatenate([(Jdv * inv_s).max(axis=-2), (dlam / lam).min(axis=-2),
+                                (ct @ dv)[..., 0]], axis=-1).reshape(-1, 3).tolist()
+        alpha, alpha_d, tcdv = [], [], []
+        for tk, (r_v, r_lam, cdv) in zip(t, reach):
+            alpha.append(min(1.0, _TO_BOUNDARY / max(r_v, 1e-300)))
+            alpha_d.append(min(1.0, -_TO_BOUNDARY / min(r_lam, -1e-300)))
+            tcdv.append(tk * cdv)
+        # Backtrack on the change of the barrier, summed term by term, in
+        # every program still searching: each halves its own step until the
+        # barrier falls or the step is at most 1e-14, and then keeps v.
+        trial, g_t = v, g
+        search = list(range(b)) if min(alpha) > 1e-14 else [k for k in range(b) if alpha[k] > 1e-14]
+        while search:
+            whole = len(search) == b
+            if whole:
+                tr, gb = v + S.each(alpha) * dv, g
+            else:
+                tr, gb = v[search] + S.each([alpha[k] for k in search]) * dv[search], g[search]
+            gr, inside = S.interior(tr, False, None if whole else search)
+            sums = np.log((gr if inside is None else np.where(inside, gr, gb)) / gb).sum(axis=-2).ravel().tolist()
+            ok = None if inside is None else inside.ravel().tolist()
+            accepted, left = [], []
+            for j, k in enumerate(search):
+                if (ok is None or ok[j]) and alpha[k] * tcdv[k] - sums[j] <= -_DECREASE * alpha[k] * dec[k]:
+                    accepted.append(j)
+                else:
+                    alpha[k] *= 0.5
+                    if alpha[k] > 1e-14:
+                        left.append(k)
+            if whole and len(accepted) == b:
+                trial, g_t = tr, gr
                 break
-            alpha *= 0.5
-        else:
-            break  # no step lowers the barrier
-        v, g = trial, g_new
-        lam = lam + alpha_d * dlam
-    kkt = np.abs(c + J.T @ lam).max() / max(1.0, np.abs(c).max())
-    return KernelSolution(x=v, objective_value=float(c @ v), kkt_residual=float(kkt),
-                          iterations=step, status=status, path_objectives=path)
+            if accepted:
+                if trial is v:
+                    trial, g_t = v.copy(), g.copy()
+                to = [search[j] for j in accepted]
+                trial[to], g_t[to] = tr[accepted], gr[accepted]
+            search = left
+        if min(alpha) <= 1e-14:  # no step lowers the barrier: stop at the old point
+            finish([k for k in range(b) if alpha[k] <= 1e-14], "MaxIterations")
+            keep = [k for k in range(b) if alpha[k] > 1e-14]
+            if not keep:
+                break
+            S, trial, g_t, lam, c, ct, rhs, coef, dlam = _rows(
+                keep, S, trial, g_t, lam, c, ct, rhs, coef, dlam)
+            t, alpha_d, live, b = ([t[k] for k in keep], [alpha_d[k] for k in keep],
+                                   [live[k] for k in keep], len(keep))
+            tcol = S.each(t)
+        v, g = trial, g_t
+        lam = lam + S.each(alpha_d) * dlam
+    return out
+
+
+def _rows(keep, S, *arrays):
+    """S and every array restricted to the programs ``keep`` of a batch."""
+    keep = np.array(keep)
+    return (S.take(keep),) + tuple(a[keep] for a in arrays)
+
+
+def solve_batch(progs, gap_ref=1.0):
+    """Primal-dual solves (see _path) of programs that share one structure
+    (see the module docstring), all stepped together. Each stops at the
+    first t whose duality-gap bound m/t is below
+    _GAP_TOL * (gap_ref + |objective|) once its point is centered. gap_ref=0
+    gives a purely relative stop for problems whose optimal value can be
+    many orders of magnitude below 1 (it must then be strictly nonzero).
+
+    Returns one entry per program, in order: its KernelSolution, or the
+    CjoptError that stopped it (a start point that phase one could not
+    find, or a Newton system no ridge made solvable). Each program's
+    result is the one it gets alone."""
+    S = _Stacked(progs)
+    out = [None] * len(progs)
+    starts = [p.strictly_feasible_point for p in progs]
+    V = np.array([np.zeros(S.n) if v is None else v for v in starts], dtype=float)[:, :, None]
+    inside = S.interior(V[0] if S.one else V)[1]
+    ok = np.array([v is not None for v in starts]) & (True if inside is None else inside.ravel())
+    for k in np.flatnonzero(~ok):
+        try:
+            V[k, :, 0], ok[k] = phase_one(progs[k]), True
+        except CjoptError as exc:
+            out[k], ok[k] = exc, False
+    if ok.any():
+        C = np.array([p.objective for p in progs], dtype=float)[:, :, None]
+        with np.errstate(invalid="ignore"):  # a singular Newton system gives NaN (see _solve)
+            if S.one:
+                sols = _path(S, C[0], V[0], gap_ref)
+            else:
+                run = np.flatnonzero(ok)
+                sols = _path(S if ok.all() else S.take(run), C[run], V[run], gap_ref)
+        for k, sol in zip(np.flatnonzero(ok), sols):
+            out[k] = sol
+    return out
 
 
 def solve(prog: ConvexProgram, gap_ref=1.0) -> KernelSolution:
-    """Primal-dual solve (see _path), stopping at the first t whose
-    duality-gap bound m/t is below _GAP_TOL * (gap_ref + |objective|) once
-    the point is centered. gap_ref=0 gives a purely relative stop for
-    problems whose optimal value can be many orders of magnitude below 1
-    (it must then be strictly nonzero)."""
-    S = _Stacked(prog)
-    v = prog.strictly_feasible_point
-    if v is None or S.interior(np.asarray(v, dtype=float)) is None:
-        v = phase_one(prog)
-    return _path(S, np.asarray(prog.objective, dtype=float), np.asarray(v, dtype=float).copy(), gap_ref)
+    """solve_batch of one program; raises the CjoptError that stops it."""
+    sol = solve_batch([prog], gap_ref)[0]
+    if isinstance(sol, CjoptError):
+        raise sol
+    return sol
 
 
 def _phase_one_start(prog: ConvexProgram):
@@ -381,20 +612,25 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     first centered point where every constraint has strictly negative slack.
     """
     n = prog.n_vars
-    S = _Stacked(prog)
+    S = _Stacked([prog])
     v0 = _phase_one_start(prog)
-    if S.interior(v0, strict=True) is not None:
+    if S.interior(S.point(v0), strict=True)[1].all():
         return v0
 
-    g0 = S.g(v0)  # None only outside the domain, where w below is not interior either
-    s0 = -1.0 if g0 is None else max(g0[~S.box], default=-1.0)
+    g0, outside = S.g(S.point(v0))  # outside the domain, w below is not interior either
+    s0 = max(g0[~S.box, 0], default=-1.0) if outside is None else -1.0
     w = np.append(v0, abs(s0) * 1.1 + 1.0)
-    S1 = _Stacked(prog, slack_box=Box(idx=n, lo=-1.0, hi=w[n] + 1.0))
-    if S1.interior(w) is None:
+    S1 = _Stacked([prog], slack_box=Box(idx=n, lo=-1.0, hi=w[n] + 1.0))
+    if S1.interior(S1.point(w))[1] is not None:
         raise NumericalFailure("phase one could not construct an interior start")
-    w = _path(S1, np.eye(n + 1)[n], w, 1.0, done=lambda w: S.interior(w[:n], strict=True) is not None).x
+    with np.errstate(invalid="ignore"):  # a singular Newton system gives NaN (see _solve)
+        sol = _path(S1, S1.point(np.eye(n + 1)[n]), S1.point(w), 1.0,
+                    done=lambda w: S.interior(w[:n], strict=True)[1])[0]
+    if isinstance(sol, CjoptError):
+        raise sol
+    w = sol.x
     # The comfortable margin was never reached; accept a bare interior
     # point if one emerged (feasible sets with tiny interiors are legal).
-    if S.interior(w[:n]) is not None:
+    if S.interior(S.point(w[:n]))[1] is None:
         return w[:n].copy()
     raise InfeasibleProgram(f"phase-one optimum {w[n]:.3e} is not strictly negative")

@@ -1,20 +1,49 @@
 """Optimal joint design when the jammer has enough degrees of freedom
 (L >= K + Z): closed-form power allocation, a small convex program for the
-jamming spectrum, and the minimal-norm jamming factor reconstruction."""
+jamming spectrum, and the minimal-norm jamming factor reconstruction.
+
+The design runs in two steps that a sweep can take apart: the inputs of
+the spectrum program (a Spectrum), and the Design built from the solved
+spectrum. solve_spectrum solves the programs of many draws as one batch."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
-from .errors import IllConditioned, NumericalFailure, RankDeficient
+from .errors import CjoptError, IllConditioned, NumericalFailure, RankDeficient
 from .feasibility import optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, ReciprocalSum
 from .model import ChannelSet, Precoder, SystemParams
 from .numerics import well_conditioned
 from .report import Design
 
-__all__ = ["compute_phi", "solve_spectrum", "solve_eq14", "build_sigma", "solve_optimal"]
+__all__ = ["Spectrum", "compute_phi", "solve_spectrum", "solved", "solve_eq14", "build_sigma",
+           "optimal_spectrum", "spectrum_design", "solve_optimal"]
 
 _HEADROOM_TOL = 1e-12
+
+
+class Spectrum(NamedTuple):
+    """The inputs of one jamming-spectrum program (see solve_spectrum):
+    |a_kj|^2 at [j, k], the transmit powers p, the prices phi, the
+    jammer's power headroom, the right-hand side b of the price
+    constraint, the noise power sigma2 and the budget p_tot that scales
+    the zero-headroom test."""
+
+    abs_a2: np.ndarray
+    p: np.ndarray
+    phi: np.ndarray
+    headroom: float
+    b: float
+    sigma2: float
+    p_tot: float
+
+    @staticmethod
+    def stack(spectra):
+        """Spectra of one shape (Z, K) as one Spectrum whose fields carry
+        a leading batch axis."""
+        return Spectrum(*(np.array(field, dtype=float) for field in zip(*spectra)))
 
 
 def compute_phi(G, B):
@@ -38,44 +67,83 @@ def compute_phi(G, B):
     return phi
 
 
-def solve_spectrum(abs_a2, p, phi, headroom, b, params: SystemParams):
+def _program(abs_a2, p, phi, b, sigma2):
+    """The kernel program of one spectrum (see solve_spectrum)."""
+    Z, K = abs_a2.shape
+    n = Z + 1  # variables [x_1..x_Z, eta]
+    rows = np.empty((K, n))  # p_k sum_j |a_kj|^2 x_j - eta <= 0
+    rows[:, :Z] = p[:, None] * abs_a2.T
+    rows[:, Z] = -1.0
+    hi = 1.0 / sigma2
+    cons = [ReciprocalSum(idx=np.arange(Z), coeff=phi, power=np.ones(Z), a=np.zeros(n), b=b),
+            *(LinearIneq(a=a, b=0.0) for a in rows), *(Box(idx=j, lo=1e-12, hi=hi) for j in range(Z))]
+
+    theta_min = sigma2 * phi.sum() / b
+    v0 = np.empty(n)
+    v0[:Z] = 0.5 * (1.0 + theta_min) / sigma2
+    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
+    return ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons, strictly_feasible_point=v0)
+
+
+def solve_spectrum(spec: Spectrum):
     """The jamming-spectrum program shared by the optimal design and the
     baselines: minimize eta over x (x_j = 1 / (sigma^2 + lambda_j)) s.t.
 
         sum_j phi_j / x_j <= b,  p_k sum_j |a_kj|^2 x_j <= eta,  0 < x_j <= 1/sigma^2,
 
     where b = headroom + sigma^2 sum_j phi_j is computed by the caller.
-    abs_a2 holds |a_kj|^2 at [j, k].
 
-    Returns (x, eta, status, iterations). With zero power headroom the
+    Every field of spec carries a leading batch axis of B programs of one
+    shape (see Spectrum.stack): abs_a2 is (B, Z, K) with |a_kj|^2 at
+    [:, j, k], p is (B, K), phi is (B, Z), and headroom, b, sigma2 and p_tot
+    are (B,). The programs are solved as one kernel batch (one program
+    goes through kernel.solve), and a program's result does not depend on
+    the rest of its batch.
+
+    Returns one entry per program: (x, eta, status, iterations), or the
+    CjoptError that stopped its kernel solve. With zero power headroom the
     kernel is skipped and the no-jamming spectrum x = 1/sigma^2 is
     returned with status "NoJammingPower".
     """
-    sigma2 = params.sigma2
-    Z = phi.shape[0]
-    if headroom <= _HEADROOM_TOL * params.p_tot:
-        x = np.full(Z, 1.0 / sigma2)
-        eta = float(np.max(p * np.sum(abs_a2, axis=0) / sigma2))
-        return x, eta, "NoJammingPower", 0
+    out = [None] * len(spec.headroom)
+    run = []
+    for k, (abs_a2, p, _, headroom, _, sigma2, p_tot) in enumerate(zip(*spec)):
+        if headroom <= _HEADROOM_TOL * p_tot:
+            eta = float(np.max(p * np.sum(abs_a2, axis=0) / sigma2))
+            out[k] = (np.full(abs_a2.shape[0], 1.0 / sigma2), eta, "NoJammingPower", 0)
+        else:
+            run.append(k)
+    progs = [_program(spec.abs_a2[k], spec.p[k], spec.phi[k], spec.b[k], spec.sigma2[k]) for k in run]
+    if len(progs) == 1:
+        try:
+            sols = [kernel.solve(progs[0], gap_ref=0.0)]
+        except CjoptError as exc:
+            sols = [exc]
+    else:
+        sols = kernel.solve_batch(progs, gap_ref=0.0) if progs else []
+    Z = spec.phi.shape[1]
+    for k, sol in zip(run, sols):
+        out[k] = sol if isinstance(sol, CjoptError) else (
+            sol.x[:Z].copy(), float(sol.objective_value), sol.status, sol.iterations)
+    return out
 
-    n = Z + 1  # variables [x_1..x_Z, eta]
-    cons = [ReciprocalSum(idx=np.arange(Z), coeff=phi, power=np.ones(Z), a=np.zeros(n), b=b)]
-    for k in range(abs_a2.shape[1]):
-        a = np.zeros(n)
-        a[:Z] = p[k] * abs_a2[:, k]
-        a[Z] = -1.0
-        cons.append(LinearIneq(a=a, b=0.0))
-    for j in range(Z):
-        cons.append(Box(idx=j, lo=1e-12, hi=1.0 / sigma2))
 
-    theta_min = sigma2 * phi.sum() / b
-    v0 = np.empty(n)
-    v0[:Z] = 0.5 * (1.0 + theta_min) / sigma2
-    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
-    prog = ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons,
-                         strictly_feasible_point=v0)
-    sol = kernel.solve(prog, gap_ref=0.0)
-    return sol.x[:Z].copy(), float(sol.objective_value), sol.status, sol.iterations
+def solved(result):
+    """The (x, eta, status, iterations) of a solve_spectrum entry; raises
+    the CjoptError that stopped its solve."""
+    if isinstance(result, CjoptError):
+        raise result
+    return result
+
+
+def eq14_spectrum(pre: Precoder, params: SystemParams, p_opt, phi) -> Spectrum:
+    """The eq14 program's inputs: the transmitter uses p_opt and the
+    jammer the rest of the budget, at the exact prices phi."""
+    p_opt = np.asarray(p_opt, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    headroom = params.p_tot - float(np.sum(p_opt))
+    b = params.p_tot + params.sigma2 * phi.sum() - float(np.sum(p_opt))
+    return Spectrum(np.abs(pre.A) ** 2, p_opt, phi, headroom, b, params.sigma2, params.p_tot)
 
 
 def solve_eq14(pre: Precoder, ch: ChannelSet, params: SystemParams, p_opt, phi=None):
@@ -85,13 +153,9 @@ def solve_eq14(pre: Precoder, ch: ChannelSet, params: SystemParams, p_opt, phi=N
 
     Returns (x, eta, status, iterations).
     """
-    p_opt = np.asarray(p_opt, dtype=float)
     if phi is None:
         phi = compute_phi(ch.G, ch.B)
-    phi = np.asarray(phi, dtype=float)
-    headroom = params.p_tot - float(np.sum(p_opt))
-    b = params.p_tot + params.sigma2 * phi.sum() - float(np.sum(p_opt))
-    return solve_spectrum(np.abs(pre.A) ** 2, p_opt, phi, headroom, b, params)
+    return solved(solve_spectrum(Spectrum.stack([eq14_spectrum(pre, params, p_opt, phi)]))[0])
 
 
 def build_sigma(ch: ChannelSet, x, sigma2):
@@ -125,14 +189,26 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     return Gamma_H.conj().T, Sigma
 
 
+def optimal_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Spectrum:
+    """The optimal design's first step: the closed-form p and the prices
+    phi as eq14's inputs."""
+    if params.l < params.k + params.z:
+        raise RankDeficient(f"optimal design needs L >= K + Z (L={params.l}, K+Z={params.k + params.z})")
+    return eq14_spectrum(pre, params, optimal_power(pre, params), compute_phi(ch.G, ch.B))
+
+
+def spectrum_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
+    """The Design of a solved spectrum (a solve_spectrum entry, whose
+    error it raises): spec's powers and the minimal-norm covariance on
+    ch. eta is the program's optimum and iterations its Newton steps."""
+    x, eta, status, iterations = solved(result)
+    _, Sigma = build_sigma(ch, x, params.sigma2)
+    return Design(p=spec.p, x=x, Sigma=Sigma, eta=eta, status=status, iterations=iterations)
+
+
 def solve_optimal(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """Full pipeline: closed-form p, jamming-spectrum program, minimal-norm
     covariance reconstruction. eta is the eq14 optimum and iterations its
     Newton steps."""
-    if params.l < params.k + params.z:
-        raise RankDeficient(f"optimal design needs L >= K + Z (L={params.l}, K+Z={params.k + params.z})")
-    p = optimal_power(pre, params)
-    phi = compute_phi(ch.G, ch.B)
-    x, eta, status, iterations = solve_eq14(pre, ch, params, p, phi=phi)
-    _, Sigma = build_sigma(ch, x, params.sigma2)
-    return Design(p=p, x=x, Sigma=Sigma, eta=eta, status=status, iterations=iterations)
+    spec = optimal_spectrum(pre, ch, params)
+    return spectrum_design(ch, params, spec, solve_eq14(pre, ch, params, spec.p, phi=spec.phi))

@@ -6,8 +6,7 @@ when Z = 1. Any component of q orthogonal to span{g, b_1, ..., b_K}
 changes no constraint or objective term while spending power, so q lives
 in that span. For fixed Sigma the cheapest QoS-meeting power vector is the
 componentwise least element p = -(Delta^H)^{-1}(leak + sigma^2 1), which
-also minimizes every SINR bound at Eve; a small additive slack grid on the
-QoS interference caps is swept anyway as a safety net. For a fixed
+also minimizes every SINR bound at Eve. For a fixed
 direction q the bound of every user is a ratio of affine functions of rho
 with one shared denominator, so the best rho is found exactly among the
 box endpoints and the pairwise crossing points; only the direction (a
@@ -15,7 +14,7 @@ phase-fixed unit vector) is gridded, with zoom-in refinement.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -97,7 +96,7 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
     span = np.hstack([g[:, None], ch.B])
     Q, _ = np.linalg.qr(span)
     m = Q.shape[1]
-    M = delta_inverse_neg(pre.Delta)  # p = M @ (leak + sigma2 (1 + slack))
+    M = delta_inverse_neg(pre.Delta)  # p = M @ (leak + sigma2)
     abs_a2 = np.abs(pre.A[0, :]) ** 2  # K
     bq = ch.B.conj().T @ Q  # K x m
     gq = g.conj() @ Q  # m
@@ -110,7 +109,7 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
         ang_hi[0] = 0.5 * np.pi
         ang_hi[-1] = 2.0 * np.pi
 
-    def evaluate(ang, slack):
+    def evaluate(ang):
         """Best eta per direction with rho solved exactly: every user's
         bound is (alpha_k + beta_k rho) / (sigma2 + gdir rho), so the
         pointwise max is minimized at rho = 0, the power-budget cap, or a
@@ -119,7 +118,7 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
         npts = c.shape[0]
         leak_dir = np.abs(c @ bq.T) ** 2  # npts x K, per unit rho
         gdir = np.abs(c @ gq) ** 2  # npts
-        p0 = np.broadcast_to(M @ (sigma2 * (1.0 + slack)), (npts, K))
+        p0 = np.broadcast_to(M @ np.full(K, sigma2), (npts, K))
         slope = leak_dir @ M.T  # dp/drho
         denom_cap = 1.0 + slope.sum(axis=1)
         rho_max = np.maximum((params.p_tot - p0.sum(axis=1)) / denom_cap, 0.0)
@@ -144,26 +143,16 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
         return eta, rho_best
 
     lo, hi = ang_lo.copy(), ang_hi.copy()
-    slack_values = [0.0, 0.25, 0.5]
-    best = {"eta": np.inf, "ang": np.zeros(n_ang), "rho": 0.0,
-            "slack": np.zeros(K)}
+    best = {"eta": np.inf, "ang": np.zeros(n_ang), "rho": 0.0}
     evaluations = 0
     for level in range(levels):
         axes = [np.linspace(lo[i], hi[i], grid) for i in range(n_ang)]
-        slacks = (
-            [np.array(s) for s in product(slack_values, repeat=K)]
-            if level == 0
-            else [best["slack"]]
-        )
-        for slack in slacks:
-            blocks = _blocks(axes) if n_ang else [np.zeros((1, 0))]
-            for block in blocks:
-                eta, rho = evaluate(block, slack)
-                evaluations += eta.size
-                i = int(np.argmin(eta))
-                if eta[i] < best["eta"]:
-                    best = {"eta": float(eta[i]), "ang": block[i].copy(),
-                            "rho": float(rho[i]), "slack": slack}
+        for block in (_blocks(axes) if n_ang else [np.zeros((1, 0))]):
+            eta, rho = evaluate(block)
+            evaluations += eta.size
+            i = int(np.argmin(eta))
+            if eta[i] < best["eta"]:
+                best = {"eta": float(eta[i]), "ang": block[i].copy(), "rho": float(rho[i])}
         if not n_ang:
             break
         # Zoom each angle to ~1.5 grid cells around the incumbent.
@@ -179,7 +168,6 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
         step0 = (ang_hi - ang_lo) / (grid - 1)
         step = step0.copy()
         ang = best["ang"].copy()
-        slack = best["slack"]
         budget = 20000
         while np.max(step) > 1e-10 and budget > 0:
             budget -= 1
@@ -187,12 +175,11 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
             for i in range(n_ang):
                 trial[2 * i, i] = min(ang[i] + step[i], ang_hi[i])
                 trial[2 * i + 1, i] = max(ang[i] - step[i], ang_lo[i])
-            eta, rho = evaluate(trial, slack)
+            eta, rho = evaluate(trial)
             evaluations += eta.size
             i = int(np.argmin(eta))
             if eta[i] < best["eta"]:
-                best = {"eta": float(eta[i]), "ang": trial[i].copy(),
-                        "rho": float(rho[i]), "slack": slack}
+                best = {"eta": float(eta[i]), "ang": trial[i].copy(), "rho": float(rho[i])}
                 ang = best["ang"].copy()
                 step = np.minimum(step * 2.0, step0)
             else:
@@ -202,6 +189,6 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
     rho = best["rho"]
     q = np.sqrt(rho) * (Q @ c)
     leak = np.abs(ch.B.conj().T @ q) ** 2
-    p = M @ (leak + sigma2 * (1.0 + best["slack"]))
+    p = M @ (leak + sigma2)
     return OracleResult(eta=best["eta"], rho=rho, q=q, p=np.maximum(p, 0.0),
                         evaluations=evaluations)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cjopt.alternating import solve_alternating
+from cjopt import cli
 from cjopt.cli import main
 from cjopt.experiments import SOLVERS
 from cjopt.model import channel_inversion_precoder, generate_rayleigh, load_config, perturb_csi
@@ -137,6 +138,14 @@ class TestOracleCommand:
         out = capsys.readouterr().out
         gap = float(out.strip().splitlines()[-1].split()[-1])
         assert gap <= 2e-3
+
+    def test_infeasible_instance_skips_the_grid(self, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran on an infeasible instance")
+
+        monkeypatch.setattr(cli, "grid_oracle", no_grid)
+        assert main(["oracle", "--tau-db", "60"]) == 2
+        assert "infeasible" in capsys.readouterr().err
 
     def test_guard(self, capsys):
         assert main(["oracle", "--z", "2"]) == 1

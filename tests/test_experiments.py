@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjopt import experiments, kernel
-from cjopt.errors import Infeasible
+from cjopt.errors import CjoptError, Infeasible, NumericalFailure
 from cjopt.experiments import (
     SOLVER_TABLE,
     SOLVERS,
+    SPECTRUM_TABLE,
     SweepRow,
     SweepSpec,
     run_solver,
@@ -141,22 +142,72 @@ class TestRunSweep:
             assert r.feasible, (r.solver, r.status)
 
     def test_kernel_status_reaches_rows(self, monkeypatch):
-        real_solve = kernel.solve
+        # Every kernel solve goes through solve_batch: kernel.solve is a
+        # batch of one, and the sweep batches the spectrum programs.
+        real_solve_batch = kernel.solve_batch
 
         def capped(*args, **kwargs):
-            return replace(real_solve(*args, **kwargs), status="MaxIterations")
+            return [replace(s, status="MaxIterations") for s in real_solve_batch(*args, **kwargs)]
 
-        monkeypatch.setattr(kernel, "solve", capped)
+        monkeypatch.setattr(kernel, "solve_batch", capped)
         solvers = ("optimal", "alternating", "fixed_split", "b_zero", "l_inf_limit")
         rows = run_sweep(_spec(axis="P_tot", axis_values=(100.0,), trials=1, solvers=solvers))
         assert [r.solver for r in rows] == list(solvers)
         assert all(r.feasible and r.status == "MaxIterations" for r in rows)
 
+    def test_batched_rows_equal_run_solver(self):
+        # The sweep solves the spectrum programs of every trial as one
+        # batch; each row must be exactly the one run_solver gives on its
+        # trial, error rows included (existence test and fixed split fail
+        # at the low budgets).
+        spec = _spec(axis="P_tot", axis_values=(0.5, 1.0, 1.5, 2.0, 50.0), trials=4,
+                     solvers=("optimal", "fixed_split", "l_inf_limit"), seed=2)
+        rows = run_sweep(spec)
+        statuses = set()
+        for r in rows:
+            params = replace(BASE, p_tot=r.axis_value)
+            ch = generate_rayleigh(params, rng_seed=r.trial_seed)
+            pre = channel_inversion_precoder(ch, params.tau)
+            statuses.add(r.status)
+            if not check_existence(pre, params).feasible:
+                assert (r.feasible, r.status) == (False, "Infeasible")
+                continue
+            try:
+                rep = run_solver(r.solver, pre, ch, ch, params)
+            except CjoptError as exc:
+                assert (r.feasible, r.status) == (False, type(exc).__name__)
+                continue
+            assert (r.feasible, r.status, r.iterations, r.eta) == (True, rep.status, rep.iterations, rep.eta)
+            assert np.array_equal([r.min_secrecy_lb, r.mean_secrecy_lb],
+                                  [np.min(rep.secrecy_lb), np.mean(rep.secrecy_lb)], equal_nan=True)
+        assert statuses == {"Converged", "Infeasible"}
+
+    def test_failed_program_keeps_its_own_row(self, monkeypatch):
+        # A program whose kernel solve fails reports NumericalFailure in its
+        # row; the other rows of its batch are unchanged.
+        spec = _spec(axis="P_tot", axis_values=(20.0, 50.0), trials=3,
+                     solvers=("optimal", "no_jamming", "fixed_split", "l_inf_limit"))
+        want = run_sweep(spec)
+        real = kernel.solve_batch
+
+        def second_fails(progs, gap_ref=1.0):
+            sols = real(progs, gap_ref)
+            if len(progs) > 1:
+                sols[1] = NumericalFailure("Newton system unsolvable after regularization")
+            return sols
+
+        monkeypatch.setattr(kernel, "solve_batch", second_fails)
+        got = run_sweep(spec)
+        changed = [(a, b) for a, b in zip(want, got) if repr(a) != repr(b)]  # repr: NaN equals NaN
+        assert len(changed) == 1
+        assert changed[0][1].status == "NumericalFailure" and not changed[0][1].feasible
+        assert changed[0][0].solver in SPECTRUM_TABLE
+
     def test_programming_errors_escape(self, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("bug inside a solver")
 
-        monkeypatch.setattr(experiments, "solve_optimal", broken)
+        monkeypatch.setattr(experiments, "optimal_spectrum", broken)  # the sweep's optimal entry
         with pytest.raises(TypeError):
             run_sweep(_spec(trials=1))
 

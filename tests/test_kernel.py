@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cjopt import kernel
 from cjopt.alternating import gamma_nullspace_param, solve_alternating
-from cjopt.errors import InfeasibleProgram, RankDeficient
+from cjopt.errors import InfeasibleProgram, NumericalFailure, RankDeficient
 from cjopt.feasibility import check_existence
 from cjopt.kernel import (
     Box,
@@ -17,10 +17,12 @@ from cjopt.kernel import (
     _Stacked,
     phase_one,
     solve,
+    solve_batch,
 )
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
-from cjopt.optimal import compute_phi, solve_optimal
+from cjopt.optimal import _program, compute_phi, optimal_spectrum, solve_optimal
 from reference import eq14_dual_bound
+from util import feasible_instance
 
 
 def test_min_x_above_one():
@@ -215,29 +217,31 @@ def test_stacked_form_matches_formulas_and_differences(seed, n, slack):
         s = float(rng.uniform(-0.05, 0.5))
         is_box = np.concatenate([[isinstance(c, Box)] * len(_direct_values([c], v))
                                  for c in prog.constraints])
-        S = _Stacked(prog, slack_box=Box(idx=n, lo=-1.0, hi=1.0))
+        S = _Stacked([prog], slack_box=Box(idx=n, lo=-1.0, hi=1.0))
         expected = np.concatenate([np.where(is_box, expected, expected - s), [-1.0 - s, s - 1.0]])
         v = np.append(v, s)
     else:
-        S = _Stacked(prog)
+        S = _Stacked([prog])
         assert S.m == len(prog.atoms())
-    g = S.g(v)
+    # The compiled form of one program takes column vectors.
+    col = S.point
+    g = S.g(col(v))[0][:, 0]
     assert g == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert S.interior(v) is not None and np.all(g < 0)
+    assert S.interior(col(v))[1] is None and np.all(g < 0)  # None: every point is interior
 
     h = 1e-6
     w = rng.uniform(0.1, 2.0, S.m)
     A = S.A.copy()
-    J, H = S.jac(v), S.hess(v, w)
+    J, H = S.jac(col(v)), S.hess(col(v), col(w))
     # A second evaluation agrees, and neither edits the compiled A in place.
-    assert np.array_equal(S.jac(v), J) and np.array_equal(S.hess(v, w), H)
+    assert np.array_equal(S.jac(col(v)), J) and np.array_equal(S.hess(col(v), col(w)), H)
     assert np.array_equal(S.A, A)
     for j in range(S.n):
         e = np.zeros(S.n)
         e[j] = h
-        dg = (S.g(v + e) - S.g(v - e)) / (2 * h)
+        dg = (S.g(col(v + e))[0][:, 0] - S.g(col(v - e))[0][:, 0]) / (2 * h)
         assert J[:, j] == pytest.approx(dg, rel=1e-6, abs=1e-6)
-        dgrad = (S.jac(v + e).T @ w - S.jac(v - e).T @ w) / (2 * h)
+        dgrad = (S.jac(col(v + e)).T @ w - S.jac(col(v - e)).T @ w) / (2 * h)
         assert H[:, j] == pytest.approx(dgrad, rel=1e-5, abs=1e-5)
 
 
@@ -287,7 +291,8 @@ def test_stalled_solve_is_not_converged(monkeypatch, limits):
     sol = solve(prog, gap_ref=0.0)
     assert sol.status == "MaxIterations"
     assert sol.iterations <= 3
-    assert _Stacked(prog).interior(sol.x) is not None
+    S = _Stacked([prog])
+    assert S.interior(S.point(sol.x))[1] is None
 
 
 def _counting_kernel(monkeypatch):
@@ -393,3 +398,73 @@ class TestGammaNullspaceParam:
         G = np.ones((4, 2), dtype=complex)
         with pytest.raises(RankDeficient):
             gamma_nullspace_param(G)
+
+
+def _eq14_programs(count, seed0=0):
+    """Kernel programs of eq14 (N=8, K=3, L=6, Z=2) on random feasible
+    draws: one shape, each program with its own data and start point."""
+    progs, seed = [], seed0
+    while len(progs) < count:
+        params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed))
+        spec = optimal_spectrum(pre, ch, params)
+        progs.append(_program(spec.abs_a2, spec.p, spec.phi, spec.b, spec.sigma2))
+        seed += 1
+    return progs
+
+
+def _same(a, b):
+    """Bit-identical kernel results (or identical errors)."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return (np.array_equal(a.x, b.x) and a.objective_value == b.objective_value
+            and a.iterations == b.iterations and a.status == b.status
+            and a.kkt_residual == b.kkt_residual and a.path_objectives == b.path_objectives)
+
+
+def _alone(prog, gap_ref):
+    try:
+        return solve(prog, gap_ref)
+    except NumericalFailure as exc:
+        return exc
+
+
+class TestSolveBatch:
+    def test_batch_results_equal_lone_solves(self):
+        # Each program of a batch of 32 gets exactly (to the last bit) what
+        # it gets alone, whatever step the others finish at.
+        progs = _eq14_programs(32)
+        batch = solve_batch(progs, gap_ref=0.0)
+        assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
+        assert all(s.status == "Converged" for s in batch)
+        assert len({s.iterations for s in batch}) > 3  # the programs end at their own steps
+
+    def test_position_in_batch_does_not_matter(self):
+        progs = _eq14_programs(8)
+        forward = solve_batch(progs, gap_ref=0.0)
+        backward = solve_batch(progs[::-1], gap_ref=0.0)[::-1]
+        assert all(_same(a, b) for a, b in zip(forward, backward))
+
+    def test_failed_program_leaves_the_rest(self):
+        # A NaN objective makes the Newton system unsolvable at every ridge:
+        # that program alone reports NumericalFailure.
+        progs = _eq14_programs(6)
+        progs[2] = replace(progs[2], objective=np.full(progs[2].n_vars, np.nan))
+        batch = solve_batch(progs, gap_ref=0.0)
+        assert isinstance(batch[2], NumericalFailure)
+        with pytest.raises(NumericalFailure):
+            solve(progs[2], gap_ref=0.0)
+        assert all(_same(sol, _alone(p, 0.0)) for k, (p, sol) in enumerate(zip(progs, batch)) if k != 2)
+
+    def test_capped_programs_leave_the_rest(self, monkeypatch):
+        # Below the longest solve's step count, some programs end in
+        # MaxIterations and the others still converge as they do alone.
+        progs = _eq14_programs(12)
+        steps = sorted(s.iterations for s in solve_batch(progs, gap_ref=0.0))
+        monkeypatch.setattr(kernel, "_MAX_STEPS", steps[len(steps) // 2])
+        batch = solve_batch(progs, gap_ref=0.0)
+        assert {s.status for s in batch} == {"Converged", "MaxIterations"}
+        assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
+
+    def test_programs_of_other_structure_rejected(self):
+        with pytest.raises(ValueError):
+            solve_batch(_eq14_programs(1) + [_closed_form_program()])
