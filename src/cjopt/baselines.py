@@ -44,7 +44,7 @@ def fixed_split_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, res
 def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split=0.5) -> Design:
     """fixed_split_spectrum and fixed_split_design around a batch of one."""
     spec = fixed_split_spectrum(pre, ch, params, split)
-    return fixed_split_design(ch, params, spec, solve_spectrum(Spectrum.stack([spec]))[0])
+    return fixed_split_design(ch, params, spec, solve_spectrum([spec])[0])
 
 
 def no_jamming_report(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
@@ -78,4 +78,4 @@ def l_inf_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -
 def l_infinity_limit(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """l_inf_spectrum and l_inf_design around a batch of one."""
     spec = l_inf_spectrum(pre, ch, params)
-    return l_inf_design(ch, params, spec, solve_spectrum(Spectrum.stack([spec]))[0])
+    return l_inf_design(ch, params, spec, solve_spectrum([spec])[0])

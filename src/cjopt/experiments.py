@@ -206,17 +206,13 @@ def run_sweep(spec: SweepSpec):
                         rows.append(_row(spec, value, solver, ts, run_solver(solver, pre, ch, ch_design, params)))
                 except (CjoptError, np.linalg.LinAlgError) as exc:
                     rows.append(_row(spec, value, solver, ts, status=type(exc).__name__))
-    batches = {}
-    for prog in programs:
-        batches.setdefault(prog.spectrum.abs_a2.shape, []).append(prog)
-    for batch in batches.values():
-        for prog, result in zip(batch, solve_spectrum(Spectrum.stack([p.spectrum for p in batch]))):
-            try:
-                design = SPECTRUM_TABLE[prog.solver][1](prog.ch_design, prog.params, prog.spectrum, result)
-                rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
-                rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
-            except (CjoptError, np.linalg.LinAlgError) as exc:
-                rows.append(_row(spec, prog.value, prog.solver, prog.ts, status=type(exc).__name__))
+    for prog, result in zip(programs, solve_spectrum([p.spectrum for p in programs])):
+        try:
+            design = SPECTRUM_TABLE[prog.solver][1](prog.ch_design, prog.params, prog.spectrum, result)
+            rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
+            rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
+        except (CjoptError, np.linalg.LinAlgError) as exc:
+            rows.append(_row(spec, prog.value, prog.solver, prog.ts, status=type(exc).__name__))
     value_order = {float(v): i for i, v in enumerate(spec.axis_values)}
     rows.sort(key=lambda r: (value_order[r.axis_value],
                              spec.solvers.index(r.solver), r.trial_seed))

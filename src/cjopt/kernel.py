@@ -7,9 +7,10 @@ decision matrices enter through their real embedding before a program is
 assembled, so the kernel itself is purely real.
 
 ``solve_batch`` compiles programs of one structure into one stacked form
-(``_Stacked``) and solves them together; ``solve`` is a batch of one and
-``phase_one`` a batch of one with a slack. Every constraint row i of
-program k reads
+(``_Stacked``) and solves them together; ``solve`` is a batch of one.
+``phase_one`` is an ordinary program too: the auxiliary-slack problem,
+built from the dataclasses and handed to ``solve``. Every constraint row
+i of program k reads
 
     g_ki(v) = A_ki . v - b_ki + sum_t coeff_kt / v[var_t]**power_t + ||M_ki v + d_ki||^2
 
@@ -45,7 +46,7 @@ batch as alone.
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -134,7 +135,6 @@ class KernelSolution:
     path_objectives: list = field(default_factory=list)
 
 
-_STRICT_MARGIN = 1e-9
 # Path following (see _path): t starts where the start point is most
 # central, or at _T0, and grows by _MU (at most to just past the gap rule)
 # at every point centered to _CENTERED; the solve stops at the first t with
@@ -146,22 +146,14 @@ _T0, _MU, _GAP_TOL, _MAX_STEPS = 1.0, 50.0, 1e-9, 200
 _CENTERED, _FINAL, _TO_BOUNDARY, _DECREASE = 0.5, 1e-3, 0.99, 0.01
 
 
-def _compile(prog: ConvexProgram, slack_box):
+def _compile(prog: ConvexProgram):
     """One program's rows: (layout, key, values). The layout (n, box rows,
     reciprocal rows, variables and powers, quadratic rows and sizes) is
     what a batch shares, and key is the layout in bytes, to compare; the
-    values (A, b, reciprocal coefficients, M, d) are the program's own.
-
-    With ``slack_box`` (phase one) the program gains the slack
-    s = v[n_vars] with that box's bounds, and every non-box row
-    g_i(v) <= 0 becomes g_i(v) - s <= 0: a -1 in the slack column of A,
-    0 on box rows, and a zero slack column on each M.
-    """
-    n0 = prog.n_vars
-    cons = prog.constraints if slack_box is None else [*prog.constraints, slack_box]
-    n = n0 + (slack_box is not None)
+    values (A, b, reciprocal coefficients, M, d) are the program's own."""
+    n = prog.n_vars
     b, lin_rows, lin_a, box_rows, box_idx, box_sign, recs, quads = [], [], [], [], [], [], [], []
-    for c in cons:
+    for c in prog.constraints:
         if isinstance(c, Box):
             for sign, bound in _box_rows(c):
                 box_rows.append(len(b))
@@ -181,8 +173,7 @@ def _compile(prog: ConvexProgram, slack_box):
     A = np.zeros((len(b), n))
     is_box = np.zeros(len(b), dtype=bool)
     if lin_rows:
-        A[lin_rows, :n0] = lin_a
-        A[lin_rows, n0:] = -1.0  # the slack column, if there is one
+        A[lin_rows] = lin_a
     if box_rows:
         A[box_rows, box_idx] = box_sign
         is_box[box_rows] = True
@@ -193,9 +184,7 @@ def _compile(prog: ConvexProgram, slack_box):
     r_var, r_coeff, r_pow = r_var.astype(int), r_coeff.astype(float), r_pow.astype(float)
     q_rows = np.array([r for r, _ in quads], dtype=int)
     q_sizes = [len(c.M) for _, c in quads]
-    M = np.zeros((sum(q_sizes), n))
-    if quads:
-        M[:, :n0] = np.vstack([c.M for _, c in quads])
+    M = np.vstack([np.zeros((0, n))] + [c.M for _, c in quads])
     d = np.concatenate([np.asarray(c.d, dtype=float) for _, c in quads] + [np.zeros(0)])
     layout = (n, is_box, r_row, r_var, r_pow, q_rows, q_sizes)
     key = (n, is_box.tobytes(), r_row.tobytes(), r_var.tobytes(), r_pow.tobytes(), q_rows.tobytes(),
@@ -216,10 +205,10 @@ class _Stacked:
     ``k`` of the programs k (never for a batch of one)."""
 
     # The arrays that differ by program; take() slices them.
-    _OWN = ("A", "b", "strict_limit", "r_coeff", "r_dcoeff", "r_ccoeff", "M", "d", "H2")
+    _OWN = ("A", "b", "r_coeff", "r_dcoeff", "r_ccoeff", "M", "d", "H2")
 
-    def __init__(self, progs, slack_box=None):
-        compiled = [_compile(p, slack_box) for p in progs]
+    def __init__(self, progs):
+        compiled = [_compile(p) for p in progs]
         layout, key, values = compiled[0]
         if any(other != key for _, other, _ in compiled[1:]):
             raise ValueError("the programs of a batch must share one structure")
@@ -229,7 +218,6 @@ class _Stacked:
         if not self.one:
             values = (np.array(v) for v in zip(*(c[2] for c in compiled)))
         self.A, self.b, self.r_coeff, self.M, self.d = values
-        self.strict_limit = -_STRICT_MARGIN * (1.0 + np.abs(self.b))
         # d/dx c/x**p = -p c / x**(p+1) and d2/dx2 c/x**p = p (p+1) c / x**(p+2).
         self.r_pow = r_pow[:, None]
         self.r_dcoeff, self.r_dpow = -self.r_pow * self.r_coeff, self.r_pow + 1
@@ -268,10 +256,6 @@ class _Stacked:
         points: a (b, 1, 1) array, or the number itself for a batch of one."""
         return values[0] if self.one else np.array(values).reshape(-1, 1, 1)
 
-    def point(self, x):
-        """One program's vector (for a batch of one) as a column."""
-        return np.asarray(x, dtype=float).reshape(-1, 1)
-
     def g(self, v, k=None):
         """Every g_ki(v_k), and a mask (b, 1, 1) of the programs whose v_k
         lies in the domain (every reciprocal variable > 0), or None when
@@ -292,15 +276,13 @@ class _Stacked:
             g[..., self.q_rows, :] += self.Q @ (M @ v + d) ** 2
         return g, ok
 
-    def interior(self, v, strict=False, k=None):
+    def interior(self, v, k=None):
         """g(v), and a mask like g's of the programs with every g_i(v)
-        finite and < 0, or with ``strict`` < -_STRICT_MARGIN * (1 + |b_i|);
-        None when all of them pass."""
+        finite and < 0; None when all of them pass."""
         g, ok = self.g(v, k)
-        if not strict and ok is None and g.max() < 0.0 and g.min() > -np.inf:  # (NaN fails)
+        if ok is None and g.max() < 0.0 and g.min() > -np.inf:  # (NaN fails)
             return g, None
-        limit = (self.strict_limit if k is None else self.strict_limit[k]) if strict else 0.0
-        inside = ((g < limit) & (g > -np.inf)).all(axis=-2, keepdims=True)
+        inside = ((g < 0.0) & (g > -np.inf)).all(axis=-2, keepdims=True)
         return g, inside if ok is None else inside & ok
 
     def jac(self, v):
@@ -316,23 +298,19 @@ class _Stacked:
         J += rec
         return J
 
-    def hess(self, v, w, base=None):
-        """sum_i w_ki * (Hessian of g_ki at v_k), for every program k; with
-        ``base`` (C-contiguous, shaped like the Hessians), added to it in
-        place."""
+    def hess(self, v, w, base):
+        """sum_i w_ki * (Hessian of g_ki at v_k), for every program k, added
+        in place to base (C-contiguous, shaped like the Hessians)."""
         curv = self.r_ccoeff / v.take(self.r_var, axis=-2) ** self.r_cpow
         diag = np.bincount(self.h_idx, (w.take(self.r_row, axis=-2) * curv).ravel(), minlength=v.size)
         if self.has_quad:
             H = w.take(self.q_rows, axis=-2).swapaxes(-1, -2) @ self.H2
             H = H.reshape(v.shape[:-2] + (self.n, self.n))
             H.reshape(-1)[self.diag] += diag
-            if base is None:
-                return H
             base += H
             return base
-        H = np.zeros(v.shape[:-2] + (self.n, self.n)) if base is None else base
-        H.reshape(-1)[self.diag] += diag
-        return H
+        base.reshape(-1)[self.diag] += diag
+        return base
 
 
 _NONE = np.zeros(0, dtype=int)
@@ -367,7 +345,7 @@ def _newton(H, rhs):
     return X, np.array(failed, dtype=int)
 
 
-def _path(S: _Stacked, c, v, gap_ref, done=None):
+def _path(S: _Stacked, c, v, gap_ref):
     """Primal-dual path following from the interior points v, one per
     program of S, with objectives c (both shaped like S's points).
 
@@ -378,11 +356,10 @@ def _path(S: _Stacked, c, v, gap_ref, done=None):
     decrement dec = t (c + J^T (1/(t s))) . (-dv) at any t. The first step
     picks the t at which the start point's barrier decrement is least. A
     point is centered when dec and max |t lam s - 1| are at most _CENTERED;
-    there t grows by _MU, until the gap bound holds and dec <= _FINAL, or
-    ``done(v)`` holds (a mask like interior's). dv is a descent direction
-    of the barrier t c.v - sum log s, which the line search lowers; lam
-    takes its own step. A line search that cannot lower the barrier ends
-    the solve with MaxIterations.
+    there t grows by _MU, until the gap bound holds and dec <= _FINAL. dv is
+    a descent direction of the barrier t c.v - sum log s, which the line
+    search lowers; lam takes its own step. A line search that cannot lower
+    the barrier ends the solve with MaxIterations.
 
     The vector work runs on the whole batch at once. Each program's
     numbers (t, dec, the step lengths, the line search's test) are Python
@@ -443,11 +420,10 @@ def _path(S: _Stacked, c, v, gap_ref, done=None):
                 centered = [k for k in centered if spread[k] <= _CENTERED]
             if centered:
                 obj = (ct @ v).ravel().tolist()
-                stops = [] if done is None else done(v).ravel().tolist()
                 converged = []
                 for k in centered:
                     final = S.m / t[k] <= _GAP_TOL * (gap_ref + abs(obj[k]))
-                    if (final and dec[k] <= _FINAL) or (stops and stops[k]):
+                    if final and dec[k] <= _FINAL:
                         paths[live[k]].append(obj[k])
                         converged.append(k)
                         ended[k] = True
@@ -495,7 +471,7 @@ def _path(S: _Stacked, c, v, gap_ref, done=None):
                 tr, gb = v + S.each(alpha) * dv, g
             else:
                 tr, gb = v[search] + S.each([alpha[k] for k in search]) * dv[search], g[search]
-            gr, inside = S.interior(tr, False, None if whole else search)
+            gr, inside = S.interior(tr, None if whole else search)
             sums = np.log((gr if inside is None else np.where(inside, gr, gb)) / gb).sum(axis=-2).ravel().tolist()
             ok = None if inside is None else inside.ravel().tolist()
             accepted, left = [], []
@@ -607,30 +583,34 @@ def _phase_one_start(prog: ConvexProgram):
 def phase_one(prog: ConvexProgram) -> np.ndarray:
     """Return a strictly feasible point or raise InfeasibleProgram.
 
-    Standard auxiliary-slack minimization: minimize s subject to
-    g_i(v) <= s (boxes stay hard) on the path of solve, stopping at the
-    first centered point where every constraint has strictly negative slack.
+    The auxiliary-slack program (Boyd & Vandenberghe, *Convex
+    Optimization*, 11.4): minimize s subject to g_i(v) <= s for every
+    non-box constraint, with the boxes kept and s in a box of its own. It
+    is an ordinary program, solved with ``solve`` from a start that is
+    interior by construction; the first n_vars variables of its optimum
+    are returned when they are interior.
     """
     n = prog.n_vars
     S = _Stacked([prog])
     v0 = _phase_one_start(prog)
-    if S.interior(S.point(v0), strict=True)[1].all():
+    g0, inside = S.interior(v0[:, None])
+    if inside is None:
         return v0
-
-    g0, outside = S.g(S.point(v0))  # outside the domain, w below is not interior either
-    s0 = max(g0[~S.box, 0], default=-1.0) if outside is None else -1.0
-    w = np.append(v0, abs(s0) * 1.1 + 1.0)
-    S1 = _Stacked([prog], slack_box=Box(idx=n, lo=-1.0, hi=w[n] + 1.0))
-    if S1.interior(S1.point(w))[1] is not None:
+    # Outside the domain g0 means nothing, and w is not interior either.
+    w = np.append(v0, abs(max(g0[~S.box, 0], default=-1.0)) * 1.1 + 1.0)
+    cons = [Box(idx=n, lo=-1.0, hi=w[n] + 1.0)]
+    for c in prog.constraints:
+        if not isinstance(c, Box):  # g_i(v) <= 0 becomes g_i(v) - s <= 0
+            c = replace(c, a=np.append(c.a, -1.0))
+            if isinstance(c, Quadratic):
+                c = replace(c, M=np.hstack([c.M, np.zeros((len(c.M), 1))]))
+        cons.append(c)
+    aux = ConvexProgram(n_vars=n + 1, objective=np.eye(n + 1)[n],
+                        constraints=cons, strictly_feasible_point=w)
+    # solve would start phase one again from a start that is not interior.
+    if _Stacked([aux]).interior(w[:, None])[1] is not None:
         raise NumericalFailure("phase one could not construct an interior start")
-    with np.errstate(invalid="ignore"):  # a singular Newton system gives NaN (see _solve)
-        sol = _path(S1, S1.point(np.eye(n + 1)[n]), S1.point(w), 1.0,
-                    done=lambda w: S.interior(w[:n], strict=True)[1])[0]
-    if isinstance(sol, CjoptError):
-        raise sol
-    w = sol.x
-    # The comfortable margin was never reached; accept a bare interior
-    # point if one emerged (feasible sets with tiny interiors are legal).
-    if S.interior(S.point(w[:n]))[1] is None:
-        return w[:n].copy()
-    raise InfeasibleProgram(f"phase-one optimum {w[n]:.3e} is not strictly negative")
+    x = solve(aux).x
+    if S.interior(x[:n, None])[1] is None:
+        return x[:n].copy()
+    raise InfeasibleProgram(f"phase-one optimum {x[n]:.3e} is not strictly negative")

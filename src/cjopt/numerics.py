@@ -29,16 +29,6 @@ def check_hermitian(A, rtol=HERMITIAN_RTOL):
     return A
 
 
-def hermitian_cond(A):
-    """Condition estimate of a Hermitian matrix: ratio of extreme |eigenvalues|."""
-    w = np.linalg.eigvalsh(A)
-    hi = np.abs(w).max()
-    lo = np.abs(w).min()
-    if lo == 0.0:
-        return np.inf
-    return hi / lo
-
-
 def well_conditioned(M):
     """True when the 2-norm condition number of M is finite and at most
     COND_LIMIT: the test every solver applies before inverting M. The
@@ -51,11 +41,11 @@ def well_conditioned(M):
 def hermitian_solve(A, B):
     """Solve A X = B for Hermitian positive-definite A.
 
-    Raises NotHermitian or IllConditioned (condition estimate > 1e12,
-    signalling a degenerate channel draw).
+    Raises NotHermitian, or IllConditioned unless A is well_conditioned
+    (a degenerate channel draw).
     """
     A = check_hermitian(A)
     B = _as_complex(B)
-    if hermitian_cond(A) > COND_LIMIT:
-        raise IllConditioned("Hermitian solve: condition estimate exceeds 1e12")
+    if not well_conditioned(A):
+        raise IllConditioned("Hermitian solve: condition number exceeds 1e12")
     return np.linalg.solve(A, B)

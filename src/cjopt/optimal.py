@@ -4,7 +4,7 @@ jamming spectrum, and the minimal-norm jamming factor reconstruction.
 
 The design runs in two steps that a sweep can take apart: the inputs of
 the spectrum program (a Spectrum), and the Design built from the solved
-spectrum. solve_spectrum solves the programs of many draws as one batch."""
+spectrum. solve_spectrum solves the programs of many draws in batches."""
 
 from typing import NamedTuple
 
@@ -38,12 +38,6 @@ class Spectrum(NamedTuple):
     b: float
     sigma2: float
     p_tot: float
-
-    @staticmethod
-    def stack(spectra):
-        """Spectra of one shape (Z, K) as one Spectrum whose fields carry
-        a leading batch axis."""
-        return Spectrum(*(np.array(field, dtype=float) for field in zip(*spectra)))
 
 
 def compute_phi(G, B):
@@ -85,7 +79,7 @@ def _program(abs_a2, p, phi, b, sigma2):
     return ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons, strictly_feasible_point=v0)
 
 
-def solve_spectrum(spec: Spectrum):
+def solve_spectrum(specs):
     """The jamming-spectrum program shared by the optimal design and the
     baselines: minimize eta over x (x_j = 1 / (sigma^2 + lambda_j)) s.t.
 
@@ -93,38 +87,36 @@ def solve_spectrum(spec: Spectrum):
 
     where b = headroom + sigma^2 sum_j phi_j is computed by the caller.
 
-    Every field of spec carries a leading batch axis of B programs of one
-    shape (see Spectrum.stack): abs_a2 is (B, Z, K) with |a_kj|^2 at
-    [:, j, k], p is (B, K), phi is (B, Z), and headroom, b, sigma2 and p_tot
-    are (B,). The programs are solved as one kernel batch (one program
-    goes through kernel.solve), and a program's result does not depend on
-    the rest of its batch.
+    specs is a list of Spectrum, of any shapes. The programs of one shape
+    (Z, K) are solved as one kernel batch (a lone program goes through
+    kernel.solve), and a program's result does not depend on the rest of
+    the list.
 
-    Returns one entry per program: (x, eta, status, iterations), or the
-    CjoptError that stopped its kernel solve. With zero power headroom the
-    kernel is skipped and the no-jamming spectrum x = 1/sigma^2 is
-    returned with status "NoJammingPower".
+    Returns one entry per spectrum, in order: (x, eta, status,
+    iterations), or the CjoptError that stopped its kernel solve. With zero
+    power headroom the kernel is skipped and the no-jamming spectrum
+    x = 1/sigma^2 is returned with status "NoJammingPower".
     """
-    out = [None] * len(spec.headroom)
-    run = []
-    for k, (abs_a2, p, _, headroom, _, sigma2, p_tot) in enumerate(zip(*spec)):
-        if headroom <= _HEADROOM_TOL * p_tot:
-            eta = float(np.max(p * np.sum(abs_a2, axis=0) / sigma2))
-            out[k] = (np.full(abs_a2.shape[0], 1.0 / sigma2), eta, "NoJammingPower", 0)
+    out = [None] * len(specs)
+    batches = {}  # (Z, K) -> the positions of its programs in specs
+    for k, s in enumerate(specs):
+        if s.headroom <= _HEADROOM_TOL * s.p_tot:
+            eta = float(np.max(s.p * np.sum(s.abs_a2, axis=0) / s.sigma2))
+            out[k] = (np.full(s.abs_a2.shape[0], 1.0 / s.sigma2), eta, "NoJammingPower", 0)
         else:
-            run.append(k)
-    progs = [_program(spec.abs_a2[k], spec.p[k], spec.phi[k], spec.b[k], spec.sigma2[k]) for k in run]
-    if len(progs) == 1:
-        try:
-            sols = [kernel.solve(progs[0], gap_ref=0.0)]
-        except CjoptError as exc:
-            sols = [exc]
-    else:
-        sols = kernel.solve_batch(progs, gap_ref=0.0) if progs else []
-    Z = spec.phi.shape[1]
-    for k, sol in zip(run, sols):
-        out[k] = sol if isinstance(sol, CjoptError) else (
-            sol.x[:Z].copy(), float(sol.objective_value), sol.status, sol.iterations)
+            batches.setdefault(s.abs_a2.shape, []).append(k)
+    for run in batches.values():
+        progs = [_program(specs[k].abs_a2, specs[k].p, specs[k].phi, specs[k].b, specs[k].sigma2) for k in run]
+        if len(progs) == 1:
+            try:
+                sols = [kernel.solve(progs[0], gap_ref=0.0)]
+            except CjoptError as exc:
+                sols = [exc]
+        else:
+            sols = kernel.solve_batch(progs, gap_ref=0.0)
+        for k, sol in zip(run, sols):
+            out[k] = sol if isinstance(sol, CjoptError) else (
+                sol.x[:-1].copy(), float(sol.objective_value), sol.status, sol.iterations)
     return out
 
 
@@ -146,16 +138,15 @@ def eq14_spectrum(pre: Precoder, params: SystemParams, p_opt, phi) -> Spectrum:
     return Spectrum(np.abs(pre.A) ** 2, p_opt, phi, headroom, b, params.sigma2, params.p_tot)
 
 
-def solve_eq14(pre: Precoder, ch: ChannelSet, params: SystemParams, p_opt, phi=None):
+def solve_eq14(spec: Spectrum):
     """Minimize the largest per-stream SINR bound at Eve over the jamming
-    spectrum when the transmitter uses p_opt and the jammer the rest of
-    the budget (solve_spectrum with the exact prices phi).
+    spectrum of eq14 (spec from eq14_spectrum or optimal_spectrum): the
+    solve_spectrum entry of spec alone.
 
-    Returns (x, eta, status, iterations).
+    Returns (x, eta, status, iterations); raises the CjoptError that
+    stopped the solve.
     """
-    if phi is None:
-        phi = compute_phi(ch.G, ch.B)
-    return solved(solve_spectrum(Spectrum.stack([eq14_spectrum(pre, params, p_opt, phi)]))[0])
+    return solved(solve_spectrum([spec])[0])
 
 
 def build_sigma(ch: ChannelSet, x, sigma2):
@@ -211,4 +202,4 @@ def solve_optimal(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design
     covariance reconstruction. eta is the eq14 optimum and iterations its
     Newton steps."""
     spec = optimal_spectrum(pre, ch, params)
-    return spectrum_design(ch, params, spec, solve_eq14(pre, ch, params, spec.p, phi=spec.phi))
+    return spectrum_design(ch, params, spec, solve_eq14(spec))

@@ -11,12 +11,14 @@ sweep
 
 and `cjopt solve CFG --json` for every solver. The configs are the README
 config, the same with xi2_db = -10 (CSI error), and a leaky one with
-l = 4 and b_gain_db = -10 (L < K + Z, so B is not zero-forced).
+l = 4 and b_gain_db = -10 (L < K + Z, so B is not zero-forced). Both trees
+also run two `cjopt oracle` commands: the README one, which checks the
+`optimal` solver, and one with K = 2 and L = 2, which checks `alternating`.
 
 Gated: row order, trial seeds, status, feasible and exit codes must be
 identical, and every float must agree within --rtol (relative; NaN equals
-NaN; dB columns are compared in linear units). The iterations are
-reported, not gated. The last lines printed are a summary block; the exit
+NaN; dB columns are compared in linear units). The oracle's printed text
+must be identical. The iterations are reported, not gated. The last lines printed are a summary block; the exit
 code is 0 when every gate holds.
 """
 
@@ -51,6 +53,10 @@ CONFIGS = {
 }
 SOLVERS = ("optimal", "alternating", "fixed_split", "no_jamming", "b_zero", "l_inf_limit")
 SWEEP_ARGS = ["--axis", "P_tot_dbm", "--values", "15,20,25,30", "--trials", "10", "--seed", "3"]
+ORACLE_ARGS = {
+    "oracle_optimal": ["--n", "4", "--k", "1", "--l", "2", "--z", "1", "--p-tot-dbm", "60", "--levels", "4"],
+    "oracle_alternating": ["--n", "4", "--k", "2", "--l", "2", "--z", "1", "--p-tot-dbm", "30"],
+}
 CSV_EXACT = ("axis", "solver", "trial_seed", "feasible", "status")
 CSV_FLOATS = ("axis_value", "eta", "eta_db", "min_secrecy_lb", "mean_secrecy_lb")
 
@@ -157,6 +163,9 @@ def run_tree(tree, workdir):
         for solver in SOLVERS:
             proc = _cli(tree, workdir, ["solve", str(cfg), "--solver", solver, "--json"])
             out[(name, solver)] = (proc.returncode, proc.stdout if proc.stdout else proc.stderr)
+    for name, args in ORACLE_ARGS.items():
+        proc = _cli(tree, workdir, ["oracle", *args])
+        out[(name, "oracle")] = (proc.returncode, proc.stdout if proc.stdout else proc.stderr)
     return out
 
 

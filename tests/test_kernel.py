@@ -206,43 +206,47 @@ def _random_program(rng, n):
     return ConvexProgram(n_vars=n, objective=np.zeros(n), constraints=cons), v
 
 
+def _col(x):
+    """A vector as the column the compiled form of one program takes."""
+    return np.reshape(x, (-1, 1))
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), slack=st.booleans())
-def test_stacked_form_matches_formulas_and_differences(seed, n, slack):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_stacked_form_matches_formulas_and_differences(seed, n):
     rng = np.random.default_rng(seed)
     prog, v = _random_program(rng, n)
-    expected = _direct_values(prog.constraints, v)
-    if slack:
-        # Phase-one form: non-box rows become g_i(v) - s, plus the slack's own box.
-        s = float(rng.uniform(-0.05, 0.5))
-        is_box = np.concatenate([[isinstance(c, Box)] * len(_direct_values([c], v))
-                                 for c in prog.constraints])
-        S = _Stacked([prog], slack_box=Box(idx=n, lo=-1.0, hi=1.0))
-        expected = np.concatenate([np.where(is_box, expected, expected - s), [-1.0 - s, s - 1.0]])
-        v = np.append(v, s)
-    else:
-        S = _Stacked([prog])
-        assert S.m == len(prog.atoms())
-    # The compiled form of one program takes column vectors.
-    col = S.point
-    g = S.g(col(v))[0][:, 0]
-    assert g == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert S.interior(col(v))[1] is None and np.all(g < 0)  # None: every point is interior
+    S = _Stacked([prog])
+    assert S.m == len(prog.atoms())
+    g = S.g(_col(v))[0][:, 0]
+    assert g == pytest.approx(_direct_values(prog.constraints, v), rel=1e-12, abs=1e-12)
+    assert S.interior(_col(v))[1] is None and np.all(g < 0)  # None: every point is interior
 
     h = 1e-6
     w = rng.uniform(0.1, 2.0, S.m)
     A = S.A.copy()
-    J, H = S.jac(col(v)), S.hess(col(v), col(w))
+    J, H = S.jac(_col(v)), S.hess(_col(v), _col(w), np.zeros((S.n, S.n)))
     # A second evaluation agrees, and neither edits the compiled A in place.
-    assert np.array_equal(S.jac(col(v)), J) and np.array_equal(S.hess(col(v), col(w)), H)
+    assert np.array_equal(S.jac(_col(v)), J)
+    assert np.array_equal(S.hess(_col(v), _col(w), np.zeros((S.n, S.n))), H)
     assert np.array_equal(S.A, A)
     for j in range(S.n):
         e = np.zeros(S.n)
         e[j] = h
-        dg = (S.g(col(v + e))[0][:, 0] - S.g(col(v - e))[0][:, 0]) / (2 * h)
+        dg = (S.g(_col(v + e))[0][:, 0] - S.g(_col(v - e))[0][:, 0]) / (2 * h)
         assert J[:, j] == pytest.approx(dg, rel=1e-6, abs=1e-6)
-        dgrad = (S.jac(col(v + e)).T @ w - S.jac(col(v - e)).T @ w) / (2 * h)
+        dgrad = (S.jac(_col(v + e)).T @ w - S.jac(_col(v - e)).T @ w) / (2 * h)
         assert H[:, j] == pytest.approx(dgrad, rel=1e-5, abs=1e-5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_phase_one_finds_interior_point_of_random_programs(seed, n):
+    # The programs have an interior but no start point: the optimum of the
+    # auxiliary-slack program lies strictly inside every constraint.
+    prog, _ = _random_program(np.random.default_rng(seed), n)
+    assert prog.strictly_feasible_point is None
+    assert np.all(_direct_values(prog.constraints, phase_one(prog)) < 0.0)
 
 
 def _closed_form_program():
@@ -291,8 +295,7 @@ def test_stalled_solve_is_not_converged(monkeypatch, limits):
     sol = solve(prog, gap_ref=0.0)
     assert sol.status == "MaxIterations"
     assert sol.iterations <= 3
-    S = _Stacked([prog])
-    assert S.interior(S.point(sol.x))[1] is None
+    assert _Stacked([prog]).interior(_col(sol.x))[1] is None
 
 
 def _counting_kernel(monkeypatch):

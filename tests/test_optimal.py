@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,15 @@ from cjopt.errors import RankDeficient
 from cjopt.feasibility import optimal_power
 from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import Precoder, SystemParams
-from cjopt.optimal import build_sigma, compute_phi, solve_eq14, solve_optimal
+from cjopt.optimal import (
+    build_sigma,
+    compute_phi,
+    eq14_spectrum,
+    optimal_spectrum,
+    solve_eq14,
+    solve_optimal,
+    solve_spectrum,
+)
 from util import custom_channels, feasible_instance, make_instance
 
 
@@ -43,7 +53,7 @@ class TestSolveJammingSpectrum:
         params, ch, pre = feasible_instance(0, n=4, k=1, l=2, z=1, p_tot=50.0)
         p = optimal_power(pre, params)
         phi = compute_phi(ch.G, ch.B)
-        x, eta, status, _ = solve_eq14(pre, ch, params, p, phi=phi)
+        x, eta, status, _ = solve_eq14(eq14_spectrum(pre, params, p, phi))
         x_star = min(phi[0] / (params.p_tot + params.sigma2 * phi[0] - p[0]),
                      1.0 / params.sigma2)
         a2 = np.abs(pre.A[0, 0]) ** 2
@@ -56,7 +66,7 @@ class TestSolveJammingSpectrum:
         p = optimal_power(pre, params)
         tight = SystemParams(n=params.n, k=params.k, l=params.l, z=params.z,
                              sigma2=params.sigma2, tau=params.tau, p_tot=float(p.sum()))
-        x, eta, status, _ = solve_eq14(pre, ch, tight, p)
+        x, eta, status, _ = solve_eq14(eq14_spectrum(pre, tight, p, compute_phi(ch.G, ch.B)))
         assert status == "NoJammingPower"
         assert np.allclose(x, 1.0 / params.sigma2)
         want = float(np.max(p * np.sum(np.abs(pre.A) ** 2, axis=0) / params.sigma2))
@@ -69,10 +79,27 @@ class TestSolveJammingSpectrum:
         pre = Precoder(U=np.eye(2, 1, dtype=complex),
                        A=np.array([[0.8], [0.8]], dtype=complex),
                        Delta=np.array([[-1.0]]))
-        x, eta, status, _ = solve_eq14(pre, None, params, np.array([1.0]),
-                                       phi=np.array([2.0, 2.0]))
+        x, eta, status, _ = solve_eq14(eq14_spectrum(pre, params, np.array([1.0]), np.array([2.0, 2.0])))
         assert status == "Converged"
         assert x[0] == pytest.approx(x[1], rel=1e-6)
+
+    def test_list_of_mixed_shapes_matches_lone_solves(self):
+        # Two (Z, K) shapes, interleaved, and a zero-headroom entry: each
+        # entry is, to the last bit, what its spectrum gets alone.
+        specs = []
+        for seed in range(3):
+            for shape in ({}, {"n": 4, "k": 1, "l": 2, "z": 1, "p_tot": 50.0}):
+                params, ch, pre = feasible_instance(seed, **shape)
+                specs.append(optimal_spectrum(pre, ch, params))
+        params, ch, pre = feasible_instance(1)
+        p = optimal_power(pre, params)
+        specs.insert(2, eq14_spectrum(pre, replace(params, p_tot=float(p.sum())), p, compute_phi(ch.G, ch.B)))
+        assert len({spec.abs_a2.shape for spec in specs}) == 2
+        results = solve_spectrum(specs)
+        assert [r[2] for r in results] == ["Converged"] * 2 + ["NoJammingPower"] + ["Converged"] * 4
+        for spec, (x, eta, status, iterations) in zip(specs, results):
+            alone_x, *alone = solve_spectrum([spec])[0]
+            assert np.array_equal(x, alone_x) and [eta, status, iterations] == alone
 
 
 class TestBuildSigma:
