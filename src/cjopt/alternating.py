@@ -16,6 +16,7 @@ same code serves every jammer antenna count.
 """
 
 from dataclasses import dataclass, replace as dc_replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +27,11 @@ from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
 from .numerics import well_conditioned
+from .optimal import solved
 from .report import Design
 
-__all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "solve_b_zero"]
+__all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "CapFree", "b_zero_program",
+           "solve_cap_free", "b_zero_design", "solve_b_zero"]
 
 _X_FLOOR = 1e-12
 
@@ -174,14 +177,18 @@ def _spectrum_program(ws: _AltWorkspace, pj2, p, budget, start, leak_caps=None):
                          strictly_feasible_point=start)
 
 
-def _cap_free_spectrum(ws: _AltWorkspace, pj2, p, budget):
+def _cap_free_program(ws: _AltWorkspace, pj2, p, budget):
     """Spectrum block without leak caps (W = 0), started at an equal split
-    of the trace budget. Returns (x, eta)."""
+    of the trace budget."""
     v0 = np.empty(ws.Z + 1)
     v0[: ws.Z] = np.sqrt(0.5 * budget / (ws.Z * pj2))
     v0[ws.Z] = 1.01 * float(np.max(p * ws.s_of(v0[: ws.Z]))) + 1e-12
-    sol = _block_solve(ws, _spectrum_program(ws, pj2, p, budget, v0))
-    return np.maximum(sol.x[: ws.Z], _X_FLOOR), float(sol.objective_value)
+    return _spectrum_program(ws, pj2, p, budget, v0)
+
+
+def _cap_free_spectrum(ws: _AltWorkspace, pj2, p, budget):
+    """x of the solved cap-free spectrum block."""
+    return np.maximum(_block_solve(ws, _cap_free_program(ws, pj2, p, budget)).x[: ws.Z], _X_FLOOR)
 
 
 def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
@@ -224,7 +231,7 @@ def _step1_zero_forcing(ws: _AltWorkspace, S, state: AlternatingState) -> Altern
     budget = ws.params.p_tot - float(p.sum())
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    x_new, _ = _cap_free_spectrum(ws, np.sum(np.abs(S) ** 2, axis=0), p, budget)
+    x_new = _cap_free_spectrum(ws, np.sum(np.abs(S) ** 2, axis=0), p, budget)
     W_new = ws.N.conj().T @ (S @ np.diag(x_new).astype(np.complex128))
     return ws.state_at(c, x_new, W_new, state.iteration)
 
@@ -304,7 +311,7 @@ def _leak_probe(ws: _AltWorkspace, state: AlternatingState):
     # Shave the trace budget a little so the leakage charged back after the
     # solve still fits the total power budget.
     budget *= 1.0 - 1e-6
-    x, _ = _cap_free_spectrum(ws, ws.pj2, p, budget)
+    x = _cap_free_spectrum(ws, ws.pj2, p, budget)
     c = ws.leaks_of(x, ws.W0) * (1.0 + 1e-9)
     p_new = ws.p_of(c)
     if np.any(p_new < 0) or ws.trace_of(x, ws.W0) + float(p_new.sum()) > ws.params.p_tot:
@@ -399,20 +406,43 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
                          iterations=state.iteration)
 
 
-def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
-    """High-power optimal design with the jammer-to-users channel treated
-    as exactly zero: leaks vanish, so the minimal-norm factor at the
-    optimal spectrum is the answer. eta is the high-power block
-    objective."""
+class CapFree(NamedTuple):
+    """b_zero's cap-free spectrum program, and what its Design needs."""
+
+    ws: _AltWorkspace
+    p: np.ndarray
+    program: ConvexProgram
+
+
+def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams) -> CapFree:
+    """b_zero's first step: the cap-free program on the QoS powers' headroom."""
     feas = check_existence(pre, params)
     if not feas.feasible:
         raise Infeasible("QoS thresholds unattainable within the budget")
     ws = _AltWorkspace(pre, ch, params)
-    p0 = ws.sigma2 * (ws.Mdelta @ np.ones(ws.K))
-    budget = params.p_tot - float(np.abs(p0).sum())
+    budget = params.p_tot - feas.p_norm1
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    x, eta = _cap_free_spectrum(ws, ws.pj2, p0, budget)
-    Gamma = ws.gamma_of(x, ws.W0)
-    return Design(p=feas.p_candidate, x=x, Sigma=Gamma.conj().T @ Gamma, eta=eta,
-                  status=ws.kernel_status, iterations=0)
+    return CapFree(ws, feas.p_candidate, _cap_free_program(ws, ws.pj2, feas.p_candidate, budget))
+
+
+def solve_cap_free(items):
+    """CapFree programs as one kernel batch: a solution or CjoptError each."""
+    return kernel.solve_batch([item.program for item in items], gap_ref=0.0)
+
+
+def b_zero_design(item: CapFree, sol) -> Design:
+    """The minimal-norm factor at a solved CapFree spectrum (sol, or the
+    CjoptError that stopped it, raised). eta is the high-power block objective."""
+    x = np.maximum(solved(sol).x[: item.ws.Z], _X_FLOOR)
+    Gamma = item.ws.gamma_of(x, item.ws.W0)
+    return Design(p=item.p, x=x, Sigma=Gamma.conj().T @ Gamma, eta=float(sol.objective_value),
+                  status=sol.status, iterations=0)
+
+
+def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
+    """High-power optimal design with the jammer-to-users channel treated
+    as exactly zero: leaks vanish, so the minimal-norm factor at the
+    optimal spectrum is the answer: b_zero_program and b_zero_design around one solve."""
+    item = b_zero_program(pre, ch, params)
+    return b_zero_design(item, kernel.solve(item.program, gap_ref=0.0))

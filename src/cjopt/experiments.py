@@ -3,8 +3,8 @@ on paired channel draws, and emit deterministic CSV.
 
 SOLVER_TABLE is the one place where a solver name is mapped to code; the
 sweep and `cjopt solve` both go through it. SPECTRUM_TABLE splits the
-solvers that reduce to the jamming-spectrum program into their two steps,
-so that the sweep can solve all their programs as one batch.
+solvers that reduce to one jamming-spectrum program into their two steps
+around it, so that the sweep can solve all their programs in batches.
 """
 
 import zlib
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alternating import solve_alternating, solve_b_zero
+from .alternating import b_zero_design, b_zero_program, solve_alternating, solve_b_zero, solve_cap_free
 from .baselines import (
     fixed_split_design,
     fixed_split_spectrum,
@@ -33,7 +33,7 @@ from .model import (
     generate_rayleigh,
     perturb_csi,
 )
-from .optimal import Spectrum, optimal_spectrum, solve_optimal, solve_spectrum, spectrum_design
+from .optimal import optimal_spectrum, solve_optimal, solve_spectrum, spectrum_design
 from .report import SolveReport, make_report
 
 __all__ = ["SOLVER_TABLE", "SOLVERS", "SPECTRUM_TABLE", "SweepSpec", "SweepRow", "run_solver",
@@ -54,15 +54,17 @@ SOLVER_TABLE = {
 SOLVERS = tuple(SOLVER_TABLE)
 
 # The entries of SOLVER_TABLE that are a jamming-spectrum program between
-# two steps: name -> (the program's Spectrum from (pre, ch_design, params),
-# the Design from (ch_design, params, spectrum, solve_spectrum entry)).
-# Looked up by module-level name at call time, like SOLVER_TABLE.
+# two steps: name -> (its inputs from (pre, ch_design, params), the solver
+# of a list of inputs, the Design from (ch_design, params, inputs, result)).
+# The steps are looked up by module-level name at call time, like SOLVER_TABLE.
 SPECTRUM_TABLE = {
-    "optimal": (lambda pre, ch, params: optimal_spectrum(pre, ch, params),
+    "optimal": (lambda pre, ch, params: optimal_spectrum(pre, ch, params), solve_spectrum,
                 lambda ch, params, spec, result: spectrum_design(ch, params, spec, result)),
-    "fixed_split": (lambda pre, ch, params: fixed_split_spectrum(pre, ch, params),
+    "fixed_split": (lambda pre, ch, params: fixed_split_spectrum(pre, ch, params), solve_spectrum,
                     lambda ch, params, spec, result: fixed_split_design(ch, params, spec, result)),
-    "l_inf_limit": (lambda pre, ch, params: l_inf_spectrum(pre, ch, params),
+    "b_zero": (lambda pre, ch, params: b_zero_program(pre, ch, params), solve_cap_free,
+               lambda ch, params, item, result: b_zero_design(item, result)),
+    "l_inf_limit": (lambda pre, ch, params: l_inf_spectrum(pre, ch, params), solve_spectrum,
                     lambda ch, params, spec, result: l_inf_design(ch, params, spec, result)),
 }
 
@@ -169,7 +171,7 @@ class _Program(NamedTuple):
     pre: Precoder
     ch: ChannelSet
     ch_design: ChannelSet
-    spectrum: Spectrum
+    inputs: object  # what the entry's first step returned
 
 
 def run_sweep(spec: SweepSpec):
@@ -177,11 +179,11 @@ def run_sweep(spec: SweepSpec):
     (axis value, solver, trial seed). The sweep runs in three stages:
 
     1. Every trial draws its channels and runs the existence test. The
-       solvers of SPECTRUM_TABLE build their Spectrum, the others design
-       and report at once.
-    2. The spectrum programs are solved as one kernel batch per (Z, K)
-       shape, all axis values and trials together (solve_spectrum).
-    3. Each solved spectrum becomes its Design and report.
+       solvers of SPECTRUM_TABLE build their program's inputs, the others
+       design and report at once.
+    2. Each list solver of SPECTRUM_TABLE (solve_spectrum, solve_cap_free)
+       runs once, as one kernel batch, on the inputs of all trials.
+    3. Each solved program becomes its Design and report.
 
     A trial whose draw, existence test or spectrum inputs raise a
     CjoptError keeps its error row, and so does a program whose solve or
@@ -200,19 +202,21 @@ def run_sweep(spec: SweepSpec):
                 pre, ch, ch_design = draw
                 try:
                     if solver in SPECTRUM_TABLE:
-                        spectrum = SPECTRUM_TABLE[solver][0](pre, ch_design, params)
-                        programs.append(_Program(value, solver, ts, params, pre, ch, ch_design, spectrum))
+                        inputs = SPECTRUM_TABLE[solver][0](pre, ch_design, params)
+                        programs.append(_Program(value, solver, ts, params, pre, ch, ch_design, inputs))
                     else:
                         rows.append(_row(spec, value, solver, ts, run_solver(solver, pre, ch, ch_design, params)))
                 except (CjoptError, np.linalg.LinAlgError) as exc:
                     rows.append(_row(spec, value, solver, ts, status=type(exc).__name__))
-    for prog, result in zip(programs, solve_spectrum([p.spectrum for p in programs])):
-        try:
-            design = SPECTRUM_TABLE[prog.solver][1](prog.ch_design, prog.params, prog.spectrum, result)
-            rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
-            rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
-        except (CjoptError, np.linalg.LinAlgError) as exc:
-            rows.append(_row(spec, prog.value, prog.solver, prog.ts, status=type(exc).__name__))
+    for solve in dict.fromkeys(entry[1] for entry in SPECTRUM_TABLE.values()):
+        batch = [p for p in programs if SPECTRUM_TABLE[p.solver][1] is solve]
+        for prog, result in zip(batch, solve([p.inputs for p in batch])):
+            try:
+                design = SPECTRUM_TABLE[prog.solver][2](prog.ch_design, prog.params, prog.inputs, result)
+                rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
+                rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
+            except (CjoptError, np.linalg.LinAlgError) as exc:
+                rows.append(_row(spec, prog.value, prog.solver, prog.ts, status=type(exc).__name__))
     value_order = {float(v): i for i, v in enumerate(spec.axis_values)}
     rows.sort(key=lambda r: (value_order[r.axis_value],
                              spec.solvers.index(r.solver), r.trial_seed))

@@ -6,8 +6,8 @@ convex-quadratic, box), given as the plain dataclasses below. Complex
 decision matrices enter through their real embedding before a program is
 assembled, so the kernel itself is purely real.
 
-``solve_batch`` compiles programs of one structure into one stacked form
-(``_Stacked``) and solves them together; ``solve`` is a batch of one.
+``solve_batch`` solves programs of any structures, those of one structure
+together in one stacked form (``_Stacked``); ``solve`` is a batch of one.
 ``phase_one`` is an ordinary program too: the auxiliary-slack problem,
 built from the dataclasses and handed to ``solve``. Every constraint row
 i of program k reads
@@ -18,11 +18,11 @@ where one dense (A, b) holds the linear part of every constraint (a box
 gives one row per finite bound, as in ``ConvexProgram.atoms``), flat
 (row, var, coeff, power) arrays hold the reciprocal terms, and the
 quadratic maps M_ki are stacked with 2 M_ki^T M_ki computed once. The
-programs of a batch share n, the row layout, the reciprocal (row, var,
-power) pattern and the quadratic shapes; each has its own A, b,
-coefficients, M, d, objective and start point. The arrays carry a leading
-batch axis, left out for a batch of one, and whatever does not depend on
-v is done at compile time.
+programs of a stack share their structure: n, the row layout, the
+reciprocal (row, var, power) pattern and the quadratic shapes. Each has
+its own A, b, coefficients, M, d, objective and start point. The arrays
+carry a leading batch axis, left out for a stack of one, and whatever
+does not depend on v is done at compile time.
 
 Each program runs one primal-dual path-following iteration (``_path``;
 Boyd & Vandenberghe, *Convex Optimization*, 11.7). It keeps a strictly
@@ -34,12 +34,12 @@ from one t to the next. The stop is a residual test at the final t: the
 barrier decrement and the spread of t lam_i s_i about 1.
 
 The programs are small, so a Newton step costs numpy calls more than
-arithmetic; a batch shares those calls. Every program keeps its own t,
+arithmetic; a stack shares those calls. Every program keeps its own t,
 lam, step lengths, line search, step count and status, decided in Python
-floats with the arithmetic of a lone solve, and leaves the batch when it
+floats with the arithmetic of a lone solve, and leaves the stack when it
 stops. A program whose Newton matrix is singular climbs its own ridge
 ladder, and one whose ladder runs out stops with NumericalFailure while
-the rest of its batch runs on. Each vector operation acts on each
+the rest of its stack runs on. Each vector operation acts on each
 program's slice alone, so a result is the same to the last bit in any
 batch as alone.
 """
@@ -149,7 +149,7 @@ _CENTERED, _FINAL, _TO_BOUNDARY, _DECREASE = 0.5, 1e-3, 0.99, 0.01
 def _compile(prog: ConvexProgram):
     """One program's rows: (layout, key, values). The layout (n, box rows,
     reciprocal rows, variables and powers, quadratic rows and sizes) is
-    what a batch shares, and key is the layout in bytes, to compare; the
+    what a stack shares, and key is the layout in bytes, to group by; the
     values (A, b, reciprocal coefficients, M, d) are the program's own."""
     n = prog.n_vars
     b, lin_rows, lin_a, box_rows, box_idx, box_sign, recs, quads = [], [], [], [], [], [], [], []
@@ -193,8 +193,8 @@ def _compile(prog: ConvexProgram):
 
 
 class _Stacked:
-    """ConvexPrograms of one structure compiled into arrays (see the
-    module docstring and _compile).
+    """ConvexPrograms of one structure in arrays, from their _compile
+    entries (see the module docstring).
 
     Every per-program vector is a column: a point is (b, n, 1), g is
     (b, m, 1), so that they multiply through BLAS without a reshape. For a
@@ -207,13 +207,10 @@ class _Stacked:
     # The arrays that differ by program; take() slices them.
     _OWN = ("A", "b", "r_coeff", "r_dcoeff", "r_ccoeff", "M", "d", "H2")
 
-    def __init__(self, progs):
-        compiled = [_compile(p) for p in progs]
-        layout, key, values = compiled[0]
-        if any(other != key for _, other, _ in compiled[1:]):
-            raise ValueError("the programs of a batch must share one structure")
+    def __init__(self, compiled):
+        layout, _, values = compiled[0]
         n, self.box, self.r_row, self.r_var, r_pow, self.q_rows, q_sizes = layout
-        B, self.m, self.n, self.T = len(progs), len(self.box), n, len(self.r_row)
+        B, self.m, self.n, self.T = len(compiled), len(self.box), n, len(self.r_row)
         self.one = B == 1
         if not self.one:
             values = (np.array(v) for v in zip(*(c[2] for c in compiled)))
@@ -513,9 +510,9 @@ def _rows(keep, S, *arrays):
 
 
 def solve_batch(progs, gap_ref=1.0):
-    """Primal-dual solves (see _path) of programs that share one structure
-    (see the module docstring), all stepped together. Each stops at the
-    first t whose duality-gap bound m/t is below
+    """Primal-dual solves (see _path) of programs of any structures; those
+    of one structure (see the module docstring) are stepped together. Each
+    stops at the first t whose duality-gap bound m/t is below
     _GAP_TOL * (gap_ref + |objective|) once its point is centered. gap_ref=0
     gives a purely relative stop for problems whose optimal value can be
     many orders of magnitude below 1 (it must then be strictly nonzero).
@@ -524,27 +521,31 @@ def solve_batch(progs, gap_ref=1.0):
     CjoptError that stopped it (a start point that phase one could not
     find, or a Newton system no ridge made solvable). Each program's
     result is the one it gets alone."""
-    S = _Stacked(progs)
+    groups = {}  # layout key -> [(position, compiled program)]
+    for k, compiled in enumerate(map(_compile, progs)):
+        groups.setdefault(compiled[1], []).append((k, compiled))
     out = [None] * len(progs)
-    starts = [p.strictly_feasible_point for p in progs]
-    V = np.array([np.zeros(S.n) if v is None else v for v in starts], dtype=float)[:, :, None]
-    inside = S.interior(V[0] if S.one else V)[1]
-    ok = np.array([v is not None for v in starts]) & (True if inside is None else inside.ravel())
-    for k in np.flatnonzero(~ok):
-        try:
-            V[k, :, 0], ok[k] = phase_one(progs[k]), True
-        except CjoptError as exc:
-            out[k], ok[k] = exc, False
-    if ok.any():
-        C = np.array([p.objective for p in progs], dtype=float)[:, :, None]
-        with np.errstate(invalid="ignore"):  # a singular Newton system gives NaN (see _solve)
-            if S.one:
-                sols = _path(S, C[0], V[0], gap_ref)
-            else:
-                run = np.flatnonzero(ok)
-                sols = _path(S if ok.all() else S.take(run), C[run], V[run], gap_ref)
-        for k, sol in zip(np.flatnonzero(ok), sols):
-            out[k] = sol
+    for group in groups.values():
+        S, run = _Stacked([c for _, c in group]), [k for k, _ in group]
+        starts = [progs[k].strictly_feasible_point for k in run]
+        V = np.array([np.zeros(S.n) if v is None else v for v in starts], dtype=float)[:, :, None]
+        inside = S.interior(V[0] if S.one else V)[1]
+        ok = np.array([v is not None for v in starts]) & (True if inside is None else inside.ravel())
+        for j in np.flatnonzero(~ok):
+            try:
+                V[j, :, 0], ok[j] = phase_one(progs[run[j]]), True
+            except CjoptError as exc:
+                out[run[j]], ok[j] = exc, False
+        if ok.any():
+            C = np.array([progs[k].objective for k in run], dtype=float)[:, :, None]
+            with np.errstate(invalid="ignore"):  # a singular Newton system gives NaN (see _solve)
+                if S.one:
+                    sols = _path(S, C[0], V[0], gap_ref)
+                else:
+                    live = np.flatnonzero(ok)
+                    sols = _path(S if ok.all() else S.take(live), C[live], V[live], gap_ref)
+            for j, sol in zip(np.flatnonzero(ok), sols):
+                out[run[j]] = sol
     return out
 
 
@@ -591,7 +592,7 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     are returned when they are interior.
     """
     n = prog.n_vars
-    S = _Stacked([prog])
+    S = _Stacked([_compile(prog)])
     v0 = _phase_one_start(prog)
     g0, inside = S.interior(v0[:, None])
     if inside is None:
@@ -608,7 +609,7 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     aux = ConvexProgram(n_vars=n + 1, objective=np.eye(n + 1)[n],
                         constraints=cons, strictly_feasible_point=w)
     # solve would start phase one again from a start that is not interior.
-    if _Stacked([aux]).interior(w[:, None])[1] is not None:
+    if _Stacked([_compile(aux)]).interior(w[:, None])[1] is not None:
         raise NumericalFailure("phase one could not construct an interior start")
     x = solve(aux).x
     if S.interior(x[:n, None])[1] is None:

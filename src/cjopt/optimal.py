@@ -87,42 +87,40 @@ def solve_spectrum(specs):
 
     where b = headroom + sigma^2 sum_j phi_j is computed by the caller.
 
-    specs is a list of Spectrum, of any shapes. The programs of one shape
-    (Z, K) are solved as one kernel batch (a lone program goes through
-    kernel.solve), and a program's result does not depend on the rest of
-    the list.
+    specs is a list of Spectrum, of any shapes, and their programs are
+    solved as one kernel batch, which steps the programs of one shape
+    (Z, K) together (a lone program goes through kernel.solve). A
+    program's result does not depend on the rest of the list.
 
     Returns one entry per spectrum, in order: (x, eta, status,
     iterations), or the CjoptError that stopped its kernel solve. With zero
     power headroom the kernel is skipped and the no-jamming spectrum
     x = 1/sigma^2 is returned with status "NoJammingPower".
     """
-    out = [None] * len(specs)
-    batches = {}  # (Z, K) -> the positions of its programs in specs
+    out, run = [None] * len(specs), []
     for k, s in enumerate(specs):
         if s.headroom <= _HEADROOM_TOL * s.p_tot:
             eta = float(np.max(s.p * np.sum(s.abs_a2, axis=0) / s.sigma2))
             out[k] = (np.full(s.abs_a2.shape[0], 1.0 / s.sigma2), eta, "NoJammingPower", 0)
         else:
-            batches.setdefault(s.abs_a2.shape, []).append(k)
-    for run in batches.values():
-        progs = [_program(specs[k].abs_a2, specs[k].p, specs[k].phi, specs[k].b, specs[k].sigma2) for k in run]
-        if len(progs) == 1:
-            try:
-                sols = [kernel.solve(progs[0], gap_ref=0.0)]
-            except CjoptError as exc:
-                sols = [exc]
-        else:
-            sols = kernel.solve_batch(progs, gap_ref=0.0)
-        for k, sol in zip(run, sols):
-            out[k] = sol if isinstance(sol, CjoptError) else (
-                sol.x[:-1].copy(), float(sol.objective_value), sol.status, sol.iterations)
+            run.append(k)
+    progs = [_program(specs[k].abs_a2, specs[k].p, specs[k].phi, specs[k].b, specs[k].sigma2) for k in run]
+    if len(progs) == 1:
+        try:
+            sols = [kernel.solve(progs[0], gap_ref=0.0)]
+        except CjoptError as exc:
+            sols = [exc]
+    else:
+        sols = kernel.solve_batch(progs, gap_ref=0.0)
+    for k, sol in zip(run, sols):
+        out[k] = sol if isinstance(sol, CjoptError) else (
+            sol.x[:-1].copy(), float(sol.objective_value), sol.status, sol.iterations)
     return out
 
 
 def solved(result):
-    """The (x, eta, status, iterations) of a solve_spectrum entry; raises
-    the CjoptError that stopped its solve."""
+    """A batch entry (of solve_spectrum, or a kernel solution); raises the
+    CjoptError that stopped its solve."""
     if isinstance(result, CjoptError):
         raise result
     return result

@@ -11,9 +11,15 @@ sweep
 
 and `cjopt solve CFG --json` for every solver. The configs are the README
 config, the same with xi2_db = -10 (CSI error), and a leaky one with
-l = 4 and b_gain_db = -10 (L < K + Z, so B is not zero-forced). Both trees
-also run two `cjopt oracle` commands: the README one, which checks the
-`optimal` solver, and one with K = 2 and L = 2, which checks `alternating`.
+l = 4 and b_gain_db = -10 (L < K + Z, so B is not zero-forced). On the
+README config they also run the all-solver sweep
+
+    cjopt sweep CFG --axis Z --values 1,2,3 --trials 10 --seed 3
+
+whose programs have one shape per Z (the P_tot sweeps have one shape
+each). Both trees also run two `cjopt oracle` commands: the README one,
+which checks the `optimal` solver, and one with K = 2 and L = 2, which
+checks `alternating`.
 
 Gated: row order, trial seeds, status, feasible and exit codes must be
 identical, and every float must agree within --rtol (relative; NaN equals
@@ -53,6 +59,9 @@ CONFIGS = {
 }
 SOLVERS = ("optimal", "alternating", "fixed_split", "no_jamming", "b_zero", "l_inf_limit")
 SWEEP_ARGS = ["--axis", "P_tot_dbm", "--values", "15,20,25,30", "--trials", "10", "--seed", "3"]
+# (config, output key, arguments) of every sweep.
+SWEEPS = [(name, "sweep", SWEEP_ARGS) for name in CONFIGS] + [
+    ("readme", "sweep_Z", ["--axis", "Z", "--values", "1,2,3", "--trials", "10", "--seed", "3"])]
 ORACLE_ARGS = {
     "oracle_optimal": ["--n", "4", "--k", "1", "--l", "2", "--z", "1", "--p-tot-dbm", "60", "--levels", "4"],
     "oracle_alternating": ["--n", "4", "--k", "2", "--l", "2", "--z", "1", "--p-tot-dbm", "30"],
@@ -154,12 +163,14 @@ def run_tree(tree, workdir):
     """Every command's output on one tree: {(config, what): (exit code, output)}."""
     out = {}
     for name, text in CONFIGS.items():
+        (Path(workdir) / f"{name}.cfg").write_text(text)
+    for name, what, args in SWEEPS:
+        csv_path = Path(workdir) / f"{name}_{what}.csv"
+        proc = _cli(tree, workdir, ["sweep", str(Path(workdir) / f"{name}.cfg"), *args,
+                                    "--solvers", ",".join(SOLVERS), "--out", str(csv_path)])
+        out[(name, what)] = (proc.returncode, csv_path.read_text() if csv_path.exists() else proc.stderr)
+    for name in CONFIGS:
         cfg = Path(workdir) / f"{name}.cfg"
-        cfg.write_text(text)
-        csv_path = Path(workdir) / f"{name}.csv"
-        proc = _cli(tree, workdir, ["sweep", str(cfg), *SWEEP_ARGS, "--solvers", ",".join(SOLVERS),
-                                    "--out", str(csv_path)])
-        out[(name, "sweep")] = (proc.returncode, csv_path.read_text() if csv_path.exists() else proc.stderr)
         for solver in SOLVERS:
             proc = _cli(tree, workdir, ["solve", str(cfg), "--solver", solver, "--json"])
             out[(name, solver)] = (proc.returncode, proc.stdout if proc.stdout else proc.stderr)
@@ -175,7 +186,7 @@ def compare_runs(base, new, rtol):
         where = "/".join(key)
         (base_rc, base_out), (new_rc, new_out) = base[key], new[key]
         cmp.exact(where, "exit code", base_rc, new_rc)
-        if key[1] == "sweep":
+        if key[1].startswith("sweep"):
             cmp.csv(where, base_out, new_out)
         elif base_out.lstrip().startswith("{") and new_out.lstrip().startswith("{"):
             cmp.json_report(where, json.loads(base_out), json.loads(new_out))

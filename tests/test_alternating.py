@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from cjopt.alternating import (
     _AltWorkspace,
     _step1,
     _step2,
+    b_zero_program,
     solve_alternating,
     solve_b_zero,
 )
 from cjopt.errors import Infeasible
 from cjopt.feasibility import check_existence, optimal_power
+from cjopt.kernel import ReciprocalSum
 from cjopt.model import (
     SystemParams,
     channel_inversion_precoder,
@@ -178,6 +182,24 @@ class TestSolveBZero:
                                           params.tau)
         eta2 = solve_b_zero(pre2, ch, params).eta
         assert eta2 == pytest.approx(4.0 * eta, rel=1e-5)
+
+    def test_program_uses_the_existence_powers(self):
+        # The third QoS power of -(Delta^H)^{-1} 1 lies in (-1e-12, 0); the
+        # existence test zeroes it, and the cap-free program must use those
+        # powers, or a reciprocal term gets a negative coefficient.
+        params, ch, pre = feasible_instance(0)
+        M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -2.0, 1.0 - 1e-13]])
+        pre = replace(pre, Delta=-np.linalg.inv(M).T)
+        raw = params.sigma2 * (-np.linalg.inv(pre.Delta.conj().T).real @ np.ones(params.k))
+        assert -1e-12 < raw[2] < 0.0
+        feas = check_existence(pre, params)
+        assert feas.feasible and feas.p_candidate[2] == 0.0
+        item = b_zero_program(pre, ch, params)
+        assert np.array_equal(item.p, feas.p_candidate)
+        coeffs = np.concatenate([c.coeff for c in item.program.constraints if isinstance(c, ReciprocalSum)])
+        assert coeffs.min() >= 0.0
+        d = solve_b_zero(pre, ch, params)
+        assert d.status == "Converged" and np.array_equal(d.p, feas.p_candidate)
 
     def test_matches_step1_without_leakage(self):
         params, ch, pre = _b_zero_scalar_setup(p_tot=30.0)

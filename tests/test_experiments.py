@@ -156,37 +156,43 @@ class TestRunSweep:
         assert all(r.feasible and r.status == "MaxIterations" for r in rows)
 
     def test_batched_rows_equal_run_solver(self):
-        # The sweep solves the spectrum programs of every trial as one
-        # batch; each row must be exactly the one run_solver gives on its
-        # trial, error rows included (existence test and fixed split fail
-        # at the low budgets).
-        spec = _spec(axis="P_tot", axis_values=(0.5, 1.0, 1.5, 2.0, 50.0), trials=4,
-                     solvers=("optimal", "fixed_split", "l_inf_limit"), seed=2)
-        rows = run_sweep(spec)
-        statuses = set()
-        for r in rows:
-            params = replace(BASE, p_tot=r.axis_value)
-            ch = generate_rayleigh(params, rng_seed=r.trial_seed)
-            pre = channel_inversion_precoder(ch, params.tau)
-            statuses.add(r.status)
-            if not check_existence(pre, params).feasible:
-                assert (r.feasible, r.status) == (False, "Infeasible")
-                continue
-            try:
-                rep = run_solver(r.solver, pre, ch, ch, params)
-            except CjoptError as exc:
-                assert (r.feasible, r.status) == (False, type(exc).__name__)
-                continue
-            assert (r.feasible, r.status, r.iterations, r.eta) == (True, rep.status, rep.iterations, rep.eta)
-            assert np.array_equal([r.min_secrecy_lb, r.mean_secrecy_lb],
-                                  [np.min(rep.secrecy_lb), np.mean(rep.secrecy_lb)], equal_nan=True)
-        assert statuses == {"Converged", "Infeasible"}
+        # The sweep solves the programs of every trial in batches; each row
+        # must be exactly the one run_solver gives on its trial, error rows
+        # included (existence test and fixed split fail at the low budgets).
+        # On the Z axis every solver has programs of three structures.
+        solvers = ("optimal", "fixed_split", "b_zero", "l_inf_limit")
+        cases = [(_spec(axis="P_tot", axis_values=(0.5, 1.0, 1.5, 2.0, 50.0), trials=4, solvers=solvers,
+                        seed=2), lambda v: replace(BASE, p_tot=v), {"Converged", "Infeasible"}),
+                 (_spec(axis="Z", axis_values=(1, 2, 3), trials=3, solvers=solvers, seed=2),
+                  lambda v: replace(BASE, z=int(v)), {"Converged"})]
+        for spec, params_of, want in cases:
+            rows = run_sweep(spec)
+            statuses = set()
+            for r in rows:
+                params = params_of(r.axis_value)
+                ch = generate_rayleigh(params, rng_seed=r.trial_seed)
+                pre = channel_inversion_precoder(ch, params.tau)
+                statuses.add(r.status)
+                if not check_existence(pre, params).feasible:
+                    assert (r.feasible, r.status) == (False, "Infeasible")
+                    continue
+                try:
+                    rep = run_solver(r.solver, pre, ch, ch, params)
+                except CjoptError as exc:
+                    assert (r.feasible, r.status) == (False, type(exc).__name__)
+                    continue
+                assert (r.feasible, r.status, r.iterations, r.eta) == (True, rep.status, rep.iterations, rep.eta)
+                assert np.array_equal([r.min_secrecy_lb, r.mean_secrecy_lb],
+                                      [np.min(rep.secrecy_lb), np.mean(rep.secrecy_lb)], equal_nan=True)
+            assert statuses == want
+            assert len(rows) == len(spec.axis_values) * spec.trials * len(solvers)
 
     def test_failed_program_keeps_its_own_row(self, monkeypatch):
         # A program whose kernel solve fails reports NumericalFailure in its
-        # row; the other rows of its batch are unchanged.
+        # row; the other rows of its batch are unchanged. The sweep makes
+        # two batches: the eq14 programs and b_zero's cap-free programs.
         spec = _spec(axis="P_tot", axis_values=(20.0, 50.0), trials=3,
-                     solvers=("optimal", "no_jamming", "fixed_split", "l_inf_limit"))
+                     solvers=("optimal", "no_jamming", "fixed_split", "b_zero", "l_inf_limit"))
         want = run_sweep(spec)
         real = kernel.solve_batch
 
@@ -199,9 +205,10 @@ class TestRunSweep:
         monkeypatch.setattr(kernel, "solve_batch", second_fails)
         got = run_sweep(spec)
         changed = [(a, b) for a, b in zip(want, got) if repr(a) != repr(b)]  # repr: NaN equals NaN
-        assert len(changed) == 1
-        assert changed[0][1].status == "NumericalFailure" and not changed[0][1].feasible
-        assert changed[0][0].solver in SPECTRUM_TABLE
+        assert len(changed) == 2
+        assert all(b.status == "NumericalFailure" and not b.feasible for _, b in changed)
+        assert sorted(a.solver == "b_zero" for a, _ in changed) == [False, True]
+        assert all(a.solver in SPECTRUM_TABLE for a, _ in changed)
 
     def test_programming_errors_escape(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjopt import kernel
-from cjopt.alternating import gamma_nullspace_param, solve_alternating
+from cjopt.alternating import b_zero_program, gamma_nullspace_param, solve_alternating
 from cjopt.errors import InfeasibleProgram, NumericalFailure, RankDeficient
 from cjopt.feasibility import check_existence
 from cjopt.kernel import (
@@ -15,6 +15,7 @@ from cjopt.kernel import (
     Quadratic,
     ReciprocalSum,
     _Stacked,
+    _compile,
     phase_one,
     solve,
     solve_batch,
@@ -216,7 +217,7 @@ def _col(x):
 def test_stacked_form_matches_formulas_and_differences(seed, n):
     rng = np.random.default_rng(seed)
     prog, v = _random_program(rng, n)
-    S = _Stacked([prog])
+    S = _Stacked([_compile(prog)])
     assert S.m == len(prog.atoms())
     g = S.g(_col(v))[0][:, 0]
     assert g == pytest.approx(_direct_values(prog.constraints, v), rel=1e-12, abs=1e-12)
@@ -295,7 +296,7 @@ def test_stalled_solve_is_not_converged(monkeypatch, limits):
     sol = solve(prog, gap_ref=0.0)
     assert sol.status == "MaxIterations"
     assert sol.iterations <= 3
-    assert _Stacked([prog]).interior(_col(sol.x))[1] is None
+    assert _Stacked([_compile(prog)]).interior(_col(sol.x))[1] is None
 
 
 def _counting_kernel(monkeypatch):
@@ -468,6 +469,18 @@ class TestSolveBatch:
         assert {s.status for s in batch} == {"Converged", "MaxIterations"}
         assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
 
-    def test_programs_of_other_structure_rejected(self):
-        with pytest.raises(ValueError):
-            solve_batch(_eq14_programs(1) + [_closed_form_program()])
+    def test_programs_of_any_structures_match_lone_solves(self):
+        # One list interleaves eq14 programs of two (Z, K) shapes with
+        # b_zero's cap-free programs of two Z: four structures, each stacked
+        # on its own, and every entry is what its lone solve gives.
+        progs = []
+        for seed in range(4):
+            for shape in ({}, {"k": 2, "l": 7, "z": 3}):
+                params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed), **shape)
+                spec = optimal_spectrum(pre, ch, params)
+                progs.append(_program(spec.abs_a2, spec.p, spec.phi, spec.b, spec.sigma2))
+                progs.append(b_zero_program(pre, ch, params).program)
+        assert len({_compile(p)[1] for p in progs}) == 4
+        batch = solve_batch(progs, gap_ref=0.0)
+        assert all(s.status == "Converged" for s in batch)
+        assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
