@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernel
 from .errors import Infeasible, NonMonotone, RankDeficient
-from .feasibility import check_existence, delta_inverse_neg
+from .feasibility import delta_inverse_neg, optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
@@ -31,7 +31,7 @@ from .optimal import solved
 from .report import Design
 
 __all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "CapFree", "b_zero_program",
-           "solve_cap_free", "b_zero_design", "solve_b_zero"]
+           "b_zero_design", "solve_b_zero"]
 
 _X_FLOOR = 1e-12
 
@@ -344,9 +344,7 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
     objective; the design's eta is the exact Eve bound (noise reinstated)
     on ch, and its iterations count the outer iterations.
     """
-    feas = check_existence(pre, params)
-    if not feas.feasible:
-        raise Infeasible("QoS thresholds unattainable within the budget")
+    optimal_power(pre, params)  # the existence test: raises Infeasible
     ws = _AltWorkspace(pre, ch, params)
     joint = np.hstack([ch.G, ch.B])
     gram = joint.conj().T @ joint
@@ -414,21 +412,14 @@ class CapFree(NamedTuple):
     program: ConvexProgram
 
 
-def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams) -> CapFree:
-    """b_zero's first step: the cap-free program on the QoS powers' headroom."""
-    feas = check_existence(pre, params)
-    if not feas.feasible:
-        raise Infeasible("QoS thresholds unattainable within the budget")
+def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> CapFree:
+    """b_zero's first step: the cap-free program on the headroom left by
+    the QoS powers p (those of optimal_power)."""
     ws = _AltWorkspace(pre, ch, params)
-    budget = params.p_tot - feas.p_norm1
+    budget = params.p_tot - float(np.sum(np.abs(p)))
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    return CapFree(ws, feas.p_candidate, _cap_free_program(ws, ws.pj2, feas.p_candidate, budget))
-
-
-def solve_cap_free(items):
-    """CapFree programs as one kernel batch: a solution or CjoptError each."""
-    return kernel.solve_batch([item.program for item in items], gap_ref=0.0)
+    return CapFree(ws, p, _cap_free_program(ws, ws.pj2, p, budget))
 
 
 def b_zero_design(item: CapFree, sol) -> Design:
@@ -444,5 +435,5 @@ def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """High-power optimal design with the jammer-to-users channel treated
     as exactly zero: leaks vanish, so the minimal-norm factor at the
     optimal spectrum is the answer: b_zero_program and b_zero_design around one solve."""
-    item = b_zero_program(pre, ch, params)
+    item = b_zero_program(pre, ch, params, optimal_power(pre, params))
     return b_zero_design(item, kernel.solve(item.program, gap_ref=0.0))

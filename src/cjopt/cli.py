@@ -141,6 +141,9 @@ def cmd_sweep(args):
     elif axis == "tau_db":
         axis, values = "tau", [float(db_to_linear(v)) for v in values]
     elif axis in ("Z", "L"):
+        bad = [v for v in values if not v.is_integer()]
+        if bad:
+            raise ValueError(f"--axis {axis} takes integer values, got {bad[0]:g}")
         values = [int(v) for v in values]
     spec = SweepSpec(
         base=params,

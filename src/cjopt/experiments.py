@@ -3,8 +3,8 @@ on paired channel draws, and emit deterministic CSV.
 
 SOLVER_TABLE is the one place where a solver name is mapped to code; the
 sweep and `cjopt solve` both go through it. SPECTRUM_TABLE splits the
-solvers that reduce to one jamming-spectrum program into their two steps
-around it, so that the sweep can solve all their programs in batches.
+solvers that reduce to one kernel program into their two steps around
+it, so that the sweep can solve all their programs in one batch.
 """
 
 import zlib
@@ -13,7 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alternating import b_zero_design, b_zero_program, solve_alternating, solve_b_zero, solve_cap_free
+from . import kernel
+from .alternating import b_zero_design, b_zero_program, solve_alternating, solve_b_zero
 from .baselines import (
     fixed_split_design,
     fixed_split_spectrum,
@@ -33,7 +34,7 @@ from .model import (
     generate_rayleigh,
     perturb_csi,
 )
-from .optimal import optimal_spectrum, solve_optimal, solve_spectrum, spectrum_design
+from .optimal import optimal_spectrum, solve_optimal, spectrum_design, spectrum_result
 from .report import SolveReport, make_report
 
 __all__ = ["SOLVER_TABLE", "SOLVERS", "SPECTRUM_TABLE", "SweepSpec", "SweepRow", "run_solver",
@@ -53,19 +54,22 @@ SOLVER_TABLE = {
 }
 SOLVERS = tuple(SOLVER_TABLE)
 
-# The entries of SOLVER_TABLE that are a jamming-spectrum program between
-# two steps: name -> (its inputs from (pre, ch_design, params), the solver
-# of a list of inputs, the Design from (ch_design, params, inputs, result)).
-# The steps are looked up by module-level name at call time, like SOLVER_TABLE.
+# The entries of SOLVER_TABLE that are one kernel program between two
+# steps: name -> (a record whose .program is that program, or None when
+# there is nothing to solve, from (pre, ch_design, params, p) with p the
+# QoS powers of the existence test; the Design from (ch_design, params,
+# record, sol) with sol the program's KernelSolution, its CjoptError or
+# None). The steps are looked up by module-level name at call time, like
+# SOLVER_TABLE.
 SPECTRUM_TABLE = {
-    "optimal": (lambda pre, ch, params: optimal_spectrum(pre, ch, params), solve_spectrum,
-                lambda ch, params, spec, result: spectrum_design(ch, params, spec, result)),
-    "fixed_split": (lambda pre, ch, params: fixed_split_spectrum(pre, ch, params), solve_spectrum,
-                    lambda ch, params, spec, result: fixed_split_design(ch, params, spec, result)),
-    "b_zero": (lambda pre, ch, params: b_zero_program(pre, ch, params), solve_cap_free,
-               lambda ch, params, item, result: b_zero_design(item, result)),
-    "l_inf_limit": (lambda pre, ch, params: l_inf_spectrum(pre, ch, params), solve_spectrum,
-                    lambda ch, params, spec, result: l_inf_design(ch, params, spec, result)),
+    "optimal": (lambda pre, ch, params, p: optimal_spectrum(pre, ch, params, p),
+                lambda ch, params, spec, sol: spectrum_design(ch, params, spec, spectrum_result(spec, sol))),
+    "fixed_split": (lambda pre, ch, params, p: fixed_split_spectrum(pre, ch, params, p),
+                    lambda ch, params, spec, sol: fixed_split_design(ch, params, spec, spectrum_result(spec, sol))),
+    "b_zero": (lambda pre, ch, params, p: b_zero_program(pre, ch, params, p),
+               lambda ch, params, item, sol: b_zero_design(item, sol)),
+    "l_inf_limit": (lambda pre, ch, params, p: l_inf_spectrum(pre, ch, params, p),
+                    lambda ch, params, spec, sol: l_inf_design(ch, params, spec, spectrum_result(spec, sol))),
 }
 
 _AXES = ("Z", "P_tot", "tau", "L", "b_gain_db")
@@ -137,14 +141,16 @@ def _apply_axis(spec: SweepSpec, value):
 
 
 def _draw(spec: SweepSpec, params, gain, ts):
-    """(pre, ch, ch_design) of the trial with seed ts, or the status of
-    its error row when the draw or the existence test fails."""
+    """(pre, ch, ch_design, p) of the trial with seed ts, p the QoS powers
+    of its existence test, or the status of its error row when the draw or
+    the existence test fails."""
     try:
         ch = generate_rayleigh(params, gain_db_b=gain, rng_seed=ts)
         pre = channel_inversion_precoder(ch, params.tau)
-        if not check_existence(pre, params).feasible:
+        feas = check_existence(pre, params)
+        if not feas.feasible:
             return "Infeasible"
-        return pre, ch, perturb_csi(ch, spec.xi2, rng_seed=ts) if spec.xi2 else ch
+        return pre, ch, perturb_csi(ch, spec.xi2, rng_seed=ts) if spec.xi2 else ch, feas.p_candidate
     except (CjoptError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__
 
@@ -178,14 +184,14 @@ def run_sweep(spec: SweepSpec):
     """One SweepRow per (axis value, solver, trial), ordered by
     (axis value, solver, trial seed). The sweep runs in three stages:
 
-    1. Every trial draws its channels and runs the existence test. The
-       solvers of SPECTRUM_TABLE build their program's inputs, the others
-       design and report at once.
-    2. Each list solver of SPECTRUM_TABLE (solve_spectrum, solve_cap_free)
-       runs once, as one kernel batch, on the inputs of all trials.
+    1. Every trial draws its channels and runs the existence test once.
+       The solvers of SPECTRUM_TABLE build their program at its QoS
+       powers, the others design and report at once.
+    2. One kernel.solve_batch call solves the programs of all trials and
+       solvers.
     3. Each solved program becomes its Design and report.
 
-    A trial whose draw, existence test or spectrum inputs raise a
+    A trial whose draw, existence test or first step raises a
     CjoptError keeps its error row, and so does a program whose solve or
     design does; the rest of its batch is unaffected. A row is the one
     run_solver gives on its trial."""
@@ -199,24 +205,25 @@ def run_sweep(spec: SweepSpec):
                 if isinstance(draw, str):
                     rows.append(_row(spec, value, solver, ts, status=draw))
                     continue
-                pre, ch, ch_design = draw
+                pre, ch, ch_design, p = draw
                 try:
                     if solver in SPECTRUM_TABLE:
-                        inputs = SPECTRUM_TABLE[solver][0](pre, ch_design, params)
+                        inputs = SPECTRUM_TABLE[solver][0](pre, ch_design, params, p)
                         programs.append(_Program(value, solver, ts, params, pre, ch, ch_design, inputs))
                     else:
                         rows.append(_row(spec, value, solver, ts, run_solver(solver, pre, ch, ch_design, params)))
                 except (CjoptError, np.linalg.LinAlgError) as exc:
                     rows.append(_row(spec, value, solver, ts, status=type(exc).__name__))
-    for solve in dict.fromkeys(entry[1] for entry in SPECTRUM_TABLE.values()):
-        batch = [p for p in programs if SPECTRUM_TABLE[p.solver][1] is solve]
-        for prog, result in zip(batch, solve([p.inputs for p in batch])):
-            try:
-                design = SPECTRUM_TABLE[prog.solver][2](prog.ch_design, prog.params, prog.inputs, result)
-                rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
-                rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
-            except (CjoptError, np.linalg.LinAlgError) as exc:
-                rows.append(_row(spec, prog.value, prog.solver, prog.ts, status=type(exc).__name__))
+    sols = iter(kernel.solve_batch([g.inputs.program for g in programs if g.inputs.program is not None],
+                                   gap_ref=0.0))
+    for prog in programs:
+        sol = None if prog.inputs.program is None else next(sols)
+        try:
+            design = SPECTRUM_TABLE[prog.solver][1](prog.ch_design, prog.params, prog.inputs, sol)
+            rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
+            rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
+        except (CjoptError, np.linalg.LinAlgError) as exc:
+            rows.append(_row(spec, prog.value, prog.solver, prog.ts, status=type(exc).__name__))
     value_order = {float(v): i for i, v in enumerate(spec.axis_values)}
     rows.sort(key=lambda r: (value_order[r.axis_value],
                              spec.solvers.index(r.solver), r.trial_seed))

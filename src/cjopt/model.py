@@ -52,8 +52,9 @@ class SystemParams:
         if self.l < self.z:
             # Otherwise Eve can always null the jamming outright.
             raise ValueError(f"need L >= Z, got L={self.l}, Z={self.z}")
-        if self.sigma2 <= 0 or self.tau <= 0 or self.p_tot <= 0:
-            raise ValueError("sigma2, tau and p_tot must be positive")
+        if not (0 < self.sigma2 < np.inf and 0 < self.tau < np.inf and 0 < self.p_tot < np.inf):
+            raise ValueError(f"sigma2, tau and p_tot must be positive and finite, got "
+                             f"{self.sigma2}, {self.tau} and {self.p_tot}")
 
     @property
     def rate_threshold(self):

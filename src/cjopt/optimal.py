@@ -2,9 +2,9 @@
 (L >= K + Z): closed-form power allocation, a small convex program for the
 jamming spectrum, and the minimal-norm jamming factor reconstruction.
 
-The design runs in two steps that a sweep can take apart: the inputs of
-the spectrum program (a Spectrum), and the Design built from the solved
-spectrum. solve_spectrum solves the programs of many draws in batches."""
+The design runs in two steps that a sweep can take apart: a Spectrum,
+which carries its kernel program, and the Design built from the solved
+program. solve_eq14 solves one Spectrum alone."""
 
 from typing import NamedTuple
 
@@ -18,26 +18,21 @@ from .model import ChannelSet, Precoder, SystemParams
 from .numerics import well_conditioned
 from .report import Design
 
-__all__ = ["Spectrum", "compute_phi", "solve_spectrum", "solved", "solve_eq14", "build_sigma",
-           "optimal_spectrum", "spectrum_design", "solve_optimal"]
+__all__ = ["Spectrum", "compute_phi", "make_spectrum", "solved", "spectrum_result", "solve_eq14",
+           "build_sigma", "optimal_spectrum", "spectrum_design", "solve_optimal"]
 
 _HEADROOM_TOL = 1e-12
 
 
 class Spectrum(NamedTuple):
-    """The inputs of one jamming-spectrum program (see solve_spectrum):
-    |a_kj|^2 at [j, k], the transmit powers p, the prices phi, the
-    jammer's power headroom, the right-hand side b of the price
-    constraint, the noise power sigma2 and the budget p_tot that scales
-    the zero-headroom test."""
+    """One jamming-spectrum program (see make_spectrum) and what its
+    result needs: |a_kj|^2 at [j, k], the transmit powers p, the noise
+    power sigma2 and the kernel program, None at zero power headroom."""
 
     abs_a2: np.ndarray
     p: np.ndarray
-    phi: np.ndarray
-    headroom: float
-    b: float
     sigma2: float
-    p_tot: float
+    program: ConvexProgram | None
 
 
 def compute_phi(G, B):
@@ -61,90 +56,69 @@ def compute_phi(G, B):
     return phi
 
 
-def _program(abs_a2, p, phi, b, sigma2):
-    """The kernel program of one spectrum (see solve_spectrum)."""
-    Z, K = abs_a2.shape
-    n = Z + 1  # variables [x_1..x_Z, eta]
-    rows = np.empty((K, n))  # p_k sum_j |a_kj|^2 x_j - eta <= 0
-    rows[:, :Z] = p[:, None] * abs_a2.T
-    rows[:, Z] = -1.0
-    hi = 1.0 / sigma2
-    cons = [ReciprocalSum(idx=np.arange(Z), coeff=phi, power=np.ones(Z), a=np.zeros(n), b=b),
-            *(LinearIneq(a=a, b=0.0) for a in rows), *(Box(idx=j, lo=1e-12, hi=hi) for j in range(Z))]
-
-    theta_min = sigma2 * phi.sum() / b
-    v0 = np.empty(n)
-    v0[:Z] = 0.5 * (1.0 + theta_min) / sigma2
-    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
-    return ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons, strictly_feasible_point=v0)
-
-
-def solve_spectrum(specs):
+def make_spectrum(pre: Precoder, params: SystemParams, p, phi, headroom, b) -> Spectrum:
     """The jamming-spectrum program shared by the optimal design and the
     baselines: minimize eta over x (x_j = 1 / (sigma^2 + lambda_j)) s.t.
 
         sum_j phi_j / x_j <= b,  p_k sum_j |a_kj|^2 x_j <= eta,  0 < x_j <= 1/sigma^2,
 
     where b = headroom + sigma^2 sum_j phi_j is computed by the caller.
+    With zero power headroom there is no program (see spectrum_result)."""
+    abs_a2 = np.abs(pre.A) ** 2
+    if headroom <= _HEADROOM_TOL * params.p_tot:
+        return Spectrum(abs_a2, p, params.sigma2, None)
+    Z, K = abs_a2.shape
+    n = Z + 1  # variables [x_1..x_Z, eta]
+    rows = np.empty((K, n))  # p_k sum_j |a_kj|^2 x_j - eta <= 0
+    rows[:, :Z] = p[:, None] * abs_a2.T
+    rows[:, Z] = -1.0
+    hi = 1.0 / params.sigma2
+    cons = [ReciprocalSum(idx=np.arange(Z), coeff=phi, power=np.ones(Z), a=np.zeros(n), b=b),
+            *(LinearIneq(a=a, b=0.0) for a in rows), *(Box(idx=j, lo=1e-12, hi=hi) for j in range(Z))]
 
-    specs is a list of Spectrum, of any shapes, and their programs are
-    solved as one kernel batch, which steps the programs of one shape
-    (Z, K) together (a lone program goes through kernel.solve). A
-    program's result does not depend on the rest of the list.
-
-    Returns one entry per spectrum, in order: (x, eta, status,
-    iterations), or the CjoptError that stopped its kernel solve. With zero
-    power headroom the kernel is skipped and the no-jamming spectrum
-    x = 1/sigma^2 is returned with status "NoJammingPower".
-    """
-    out, run = [None] * len(specs), []
-    for k, s in enumerate(specs):
-        if s.headroom <= _HEADROOM_TOL * s.p_tot:
-            eta = float(np.max(s.p * np.sum(s.abs_a2, axis=0) / s.sigma2))
-            out[k] = (np.full(s.abs_a2.shape[0], 1.0 / s.sigma2), eta, "NoJammingPower", 0)
-        else:
-            run.append(k)
-    progs = [_program(specs[k].abs_a2, specs[k].p, specs[k].phi, specs[k].b, specs[k].sigma2) for k in run]
-    if len(progs) == 1:
-        try:
-            sols = [kernel.solve(progs[0], gap_ref=0.0)]
-        except CjoptError as exc:
-            sols = [exc]
-    else:
-        sols = kernel.solve_batch(progs, gap_ref=0.0)
-    for k, sol in zip(run, sols):
-        out[k] = sol if isinstance(sol, CjoptError) else (
-            sol.x[:-1].copy(), float(sol.objective_value), sol.status, sol.iterations)
-    return out
+    theta_min = params.sigma2 * phi.sum() / b
+    v0 = np.empty(n)
+    v0[:Z] = 0.5 * (1.0 + theta_min) / params.sigma2
+    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
+    prog = ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons, strictly_feasible_point=v0)
+    return Spectrum(abs_a2, p, params.sigma2, prog)
 
 
 def solved(result):
-    """A batch entry (of solve_spectrum, or a kernel solution); raises the
-    CjoptError that stopped its solve."""
+    """A kernel batch entry; raises the CjoptError that stopped its solve."""
     if isinstance(result, CjoptError):
         raise result
     return result
 
 
 def eq14_spectrum(pre: Precoder, params: SystemParams, p_opt, phi) -> Spectrum:
-    """The eq14 program's inputs: the transmitter uses p_opt and the
-    jammer the rest of the budget, at the exact prices phi."""
+    """The eq14 program: the transmitter uses p_opt and the jammer the
+    rest of the budget, at the exact prices phi."""
     p_opt = np.asarray(p_opt, dtype=float)
     phi = np.asarray(phi, dtype=float)
     headroom = params.p_tot - float(np.sum(p_opt))
     b = params.p_tot + params.sigma2 * phi.sum() - float(np.sum(p_opt))
-    return Spectrum(np.abs(pre.A) ** 2, p_opt, phi, headroom, b, params.sigma2, params.p_tot)
+    return make_spectrum(pre, params, p_opt, phi, headroom, b)
+
+
+def spectrum_result(spec: Spectrum, sol):
+    """(x, eta, status, iterations) of spec from the kernel solution of
+    its program (or the CjoptError that stopped it, raised). Without a
+    program (sol None) it is the no-jamming spectrum x = 1/sigma^2 with
+    status "NoJammingPower"."""
+    if sol is None:
+        eta = float(np.max(spec.p * np.sum(spec.abs_a2, axis=0) / spec.sigma2))
+        return np.full(spec.abs_a2.shape[0], 1.0 / spec.sigma2), eta, "NoJammingPower", 0
+    sol = solved(sol)
+    return sol.x[:-1].copy(), float(sol.objective_value), sol.status, sol.iterations
 
 
 def solve_eq14(spec: Spectrum):
     """Minimize the largest per-stream SINR bound at Eve over the jamming
-    spectrum of eq14 (spec from eq14_spectrum or optimal_spectrum): the
-    solve_spectrum entry of spec alone.
-
-    Returns (x, eta, status, iterations); raises the CjoptError that
-    stopped the solve.
-    """
-    return solved(solve_spectrum([spec])[0])
+    spectrum (spec from make_spectrum: eq14's, the fixed split's or the
+    limit's): the spectrum_result of spec's program solved alone. Raises
+    the CjoptError that stopped the solve."""
+    return spectrum_result(spec, None if spec.program is None else kernel.solve(spec.program, gap_ref=0.0))
 
 
 def build_sigma(ch: ChannelSet, x, sigma2):
@@ -178,19 +152,19 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     return Gamma_H.conj().T, Sigma
 
 
-def optimal_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Spectrum:
-    """The optimal design's first step: the closed-form p and the prices
-    phi as eq14's inputs."""
+def optimal_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> Spectrum:
+    """The optimal design's first step: eq14 at the QoS powers p (those of
+    optimal_power) and the prices phi."""
     if params.l < params.k + params.z:
         raise RankDeficient(f"optimal design needs L >= K + Z (L={params.l}, K+Z={params.k + params.z})")
-    return eq14_spectrum(pre, params, optimal_power(pre, params), compute_phi(ch.G, ch.B))
+    return eq14_spectrum(pre, params, p, compute_phi(ch.G, ch.B))
 
 
 def spectrum_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
-    """The Design of a solved spectrum (a solve_spectrum entry, whose
-    error it raises): spec's powers and the minimal-norm covariance on
-    ch. eta is the program's optimum and iterations its Newton steps."""
-    x, eta, status, iterations = solved(result)
+    """The Design of a solved spectrum (result as spectrum_result gives
+    it): spec's powers and the minimal-norm covariance on ch. eta is the
+    program's optimum and iterations its Newton steps."""
+    x, eta, status, iterations = result
     _, Sigma = build_sigma(ch, x, params.sigma2)
     return Design(p=spec.p, x=x, Sigma=Sigma, eta=eta, status=status, iterations=iterations)
 
@@ -199,5 +173,5 @@ def solve_optimal(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design
     """Full pipeline: closed-form p, jamming-spectrum program, minimal-norm
     covariance reconstruction. eta is the eq14 optimum and iterations its
     Newton steps."""
-    spec = optimal_spectrum(pre, ch, params)
+    spec = optimal_spectrum(pre, ch, params, optimal_power(pre, params))
     return spectrum_design(ch, params, spec, solve_eq14(spec))

@@ -194,7 +194,7 @@ class TestSolveBZero:
         assert -1e-12 < raw[2] < 0.0
         feas = check_existence(pre, params)
         assert feas.feasible and feas.p_candidate[2] == 0.0
-        item = b_zero_program(pre, ch, params)
+        item = b_zero_program(pre, ch, params, feas.p_candidate)
         assert np.array_equal(item.p, feas.p_candidate)
         coeffs = np.concatenate([c.coeff for c in item.program.constraints if isinstance(c, ReciprocalSum)])
         assert coeffs.min() >= 0.0

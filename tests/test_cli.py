@@ -114,6 +114,21 @@ class TestSweep:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 1
 
+    def test_non_integer_antenna_count_exits_one(self, config, tmp_path, capsys):
+        for axis in ("Z", "L"):
+            out = tmp_path / f"{axis}.csv"
+            assert main(["sweep", config, "--axis", axis, "--values", "1,2.7",
+                         "--solvers", "optimal", "--trials", "1", "--out", str(out)]) == 1
+            assert "2.7" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_non_finite_budget_exits_one(self, config, tmp_path, capsys):
+        out = tmp_path / "nan.csv"
+        assert main(["sweep", config, "--axis", "P_tot_dbm", "--values", "nan",
+                     "--solvers", "optimal", "--trials", "1", "--out", str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_sweep_monotone(self, config, tmp_path):
         out = tmp_path / "p.csv"
         assert main(["sweep", config, "--axis", "P_tot_dbm", "--values", "15,20,25",

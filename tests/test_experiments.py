@@ -1,11 +1,12 @@
 import csv
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import experiments, kernel
+from cjopt import experiments, feasibility, kernel
 from cjopt.errors import CjoptError, Infeasible, NumericalFailure
 from cjopt.experiments import (
     SOLVER_TABLE,
@@ -187,22 +188,46 @@ class TestRunSweep:
             assert statuses == want
             assert len(rows) == len(spec.axis_values) * spec.trials * len(solvers)
 
+    def test_one_batch_and_one_existence_test_per_trial(self, monkeypatch):
+        # The existence test of a trial's draw gives the QoS powers of every
+        # first step, and one kernel batch solves the programs of all trials.
+        calls = {"solve_batch": 0, "check_existence": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kernel, "solve_batch", counted("solve_batch", kernel.solve_batch))
+        real = feasibility.check_existence
+        for name, mod in list(sys.modules.items()):  # every cjopt module that holds it
+            if name.startswith("cjopt") and getattr(mod, "check_existence", None) is real:
+                monkeypatch.setattr(mod, "check_existence", counted("check_existence", real))
+        spec = _spec(axis="Z", axis_values=(1, 2), trials=3, solvers=tuple(SPECTRUM_TABLE))
+        rows = run_sweep(spec)
+        assert len(rows) == 2 * 3 * 4 and all(r.feasible for r in rows)
+        assert calls == {"solve_batch": 1, "check_existence": 2 * 3}
+
     def test_failed_program_keeps_its_own_row(self, monkeypatch):
         # A program whose kernel solve fails reports NumericalFailure in its
         # row; the other rows of its batch are unchanged. The sweep makes
-        # two batches: the eq14 programs and b_zero's cap-free programs.
+        # one batch of the eq14 programs and b_zero's cap-free programs; the
+        # first of each kind (b_zero's has a quadratic trace budget) fails.
         spec = _spec(axis="P_tot", axis_values=(20.0, 50.0), trials=3,
                      solvers=("optimal", "no_jamming", "fixed_split", "b_zero", "l_inf_limit"))
         want = run_sweep(spec)
         real = kernel.solve_batch
 
-        def second_fails(progs, gap_ref=1.0):
+        def first_of_each_kind_fails(progs, gap_ref=1.0):
             sols = real(progs, gap_ref)
-            if len(progs) > 1:
-                sols[1] = NumericalFailure("Newton system unsolvable after regularization")
+            cap_free = [any(isinstance(c, kernel.Quadratic) for c in g.constraints) for g in progs]
+            if len(set(cap_free)) == 2:
+                for k in (cap_free.index(False), cap_free.index(True)):
+                    sols[k] = NumericalFailure("Newton system unsolvable after regularization")
             return sols
 
-        monkeypatch.setattr(kernel, "solve_batch", second_fails)
+        monkeypatch.setattr(kernel, "solve_batch", first_of_each_kind_fails)
         got = run_sweep(spec)
         changed = [(a, b) for a, b in zip(want, got) if repr(a) != repr(b)]  # repr: NaN equals NaN
         assert len(changed) == 2

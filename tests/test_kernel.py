@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cjopt import kernel
 from cjopt.alternating import b_zero_program, gamma_nullspace_param, solve_alternating
 from cjopt.errors import InfeasibleProgram, NumericalFailure, RankDeficient
-from cjopt.feasibility import check_existence
+from cjopt.feasibility import check_existence, optimal_power
 from cjopt.kernel import (
     Box,
     ConvexProgram,
@@ -21,7 +21,7 @@ from cjopt.kernel import (
     solve_batch,
 )
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
-from cjopt.optimal import _program, compute_phi, optimal_spectrum, solve_optimal
+from cjopt.optimal import compute_phi, optimal_spectrum, solve_optimal
 from reference import eq14_dual_bound
 from util import feasible_instance
 
@@ -410,8 +410,7 @@ def _eq14_programs(count, seed0=0):
     progs, seed = [], seed0
     while len(progs) < count:
         params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed))
-        spec = optimal_spectrum(pre, ch, params)
-        progs.append(_program(spec.abs_a2, spec.p, spec.phi, spec.b, spec.sigma2))
+        progs.append(optimal_spectrum(pre, ch, params, optimal_power(pre, params)).program)
         seed += 1
     return progs
 
@@ -477,9 +476,9 @@ class TestSolveBatch:
         for seed in range(4):
             for shape in ({}, {"k": 2, "l": 7, "z": 3}):
                 params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed), **shape)
-                spec = optimal_spectrum(pre, ch, params)
-                progs.append(_program(spec.abs_a2, spec.p, spec.phi, spec.b, spec.sigma2))
-                progs.append(b_zero_program(pre, ch, params).program)
+                p = optimal_power(pre, params)
+                progs.append(optimal_spectrum(pre, ch, params, p).program)
+                progs.append(b_zero_program(pre, ch, params, p).program)
         assert len({_compile(p)[1] for p in progs}) == 4
         batch = solve_batch(progs, gap_ref=0.0)
         assert all(s.status == "Converged" for s in batch)

@@ -24,6 +24,11 @@ def test_params_validation():
         SystemParams(n=4, k=2, l=1, z=2, sigma2=1.0, tau=2.0, p_tot=10.0)  # L < Z
     with pytest.raises(ValueError):
         SystemParams(n=4, k=2, l=4, z=2, sigma2=0.0, tau=2.0, p_tot=10.0)
+    # NaN passes every "<= 0" test, and an infinite budget is no budget.
+    for bad in ({"sigma2": np.nan}, {"tau": np.nan}, {"p_tot": np.nan}, {"p_tot": np.inf},
+                {"sigma2": np.inf}, {"tau": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**{"n": 4, "k": 2, "l": 4, "z": 2, "sigma2": 1.0, "tau": 2.0, "p_tot": 10.0, **bad})
     p = SystemParams(n=4, k=2, l=4, z=2, sigma2=1.0, tau=3.0, p_tot=10.0)
     assert p.rate_threshold == pytest.approx(2.0)  # log2(1 + 3)
 

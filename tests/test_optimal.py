@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cjopt import kernel
 from cjopt.errors import RankDeficient
 from cjopt.feasibility import optimal_power
 from cjopt.metrics import sinr_eve_upper, sinr_user
@@ -14,7 +15,7 @@ from cjopt.optimal import (
     optimal_spectrum,
     solve_eq14,
     solve_optimal,
-    solve_spectrum,
+    spectrum_result,
 )
 from util import custom_channels, feasible_instance, make_instance
 
@@ -84,21 +85,24 @@ class TestSolveJammingSpectrum:
         assert x[0] == pytest.approx(x[1], rel=1e-6)
 
     def test_list_of_mixed_shapes_matches_lone_solves(self):
-        # Two (Z, K) shapes, interleaved, and a zero-headroom entry: each
-        # entry is, to the last bit, what its spectrum gets alone.
+        # Two (Z, K) shapes, interleaved, and a zero-headroom entry with no
+        # program: the programs go to one kernel batch, as in the sweep, and
+        # each result is, to the last bit, what its spectrum gets alone.
         specs = []
         for seed in range(3):
             for shape in ({}, {"n": 4, "k": 1, "l": 2, "z": 1, "p_tot": 50.0}):
                 params, ch, pre = feasible_instance(seed, **shape)
-                specs.append(optimal_spectrum(pre, ch, params))
+                specs.append(optimal_spectrum(pre, ch, params, optimal_power(pre, params)))
         params, ch, pre = feasible_instance(1)
         p = optimal_power(pre, params)
         specs.insert(2, eq14_spectrum(pre, replace(params, p_tot=float(p.sum())), p, compute_phi(ch.G, ch.B)))
         assert len({spec.abs_a2.shape for spec in specs}) == 2
-        results = solve_spectrum(specs)
+        assert [spec.program is None for spec in specs] == [False] * 2 + [True] + [False] * 4
+        sols = iter(kernel.solve_batch([spec.program for spec in specs if spec.program is not None], gap_ref=0.0))
+        results = [spectrum_result(spec, None if spec.program is None else next(sols)) for spec in specs]
         assert [r[2] for r in results] == ["Converged"] * 2 + ["NoJammingPower"] + ["Converged"] * 4
         for spec, (x, eta, status, iterations) in zip(specs, results):
-            alone_x, *alone = solve_spectrum([spec])[0]
+            alone_x, *alone = solve_eq14(spec)
             assert np.array_equal(x, alone_x) and [eta, status, iterations] == alone
 
 

@@ -33,6 +33,16 @@ def test_benchmark_layers_resolve():
     assert layers and not missing, f"benchmark layers missing from cjopt: {missing}"
 
 
+def test_exports_resolve():
+    # A name left in a module's __all__ after its definition is gone breaks
+    # `from cjopt.<module> import *` and nothing else would notice.
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module("cjopt" if path.stem == "__init__" else f"cjopt.{path.stem}")
+        stale += [f"{mod.__name__}.{name}" for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not stale, f"__all__ names that do not resolve: {stale}"
+
+
 def test_src_reachable_from_cli():
     # Every top-level function and class in src/ is reached by name from
     # cli.main or a module-level statement; code only the tests call
