@@ -8,15 +8,16 @@ c fixed) and the leaked powers c (spectrum fixed). The block objective is
 the high-power approximation of the per-stream SINR bound at Eve; all
 reported metrics reinstate the noise exactly.
 
-The real variable vectors of the three block programs are laid out as
-[x | Re W | Im W | eta] (spectrum block with leak caps), [x | eta]
-(cap-free spectrum block) and [c | Re W | Im W | eta] (cap block), with W
-flattened row-major. W is (L-Z) x Z, so it is empty when L = Z and the
-same code serves every jammer antenna count.
+The real variable vectors of the two block programs are laid out as
+[x | Re W | Im W | eta] (spectrum block with leak caps) and
+[c | Re W | Im W | eta] (cap block), with W flattened row-major. W is
+(L-Z) x Z, so it is empty when L = Z and the same code serves every jammer
+antenna count. The spectrum block without leak caps (W = 0) is the
+jamming-spectrum program of cjopt.optimal.make_spectrum in y_j = 1/x_j^2,
+laid out as [y | eta].
 """
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
 from .numerics import well_conditioned
-from .optimal import solved
+from .optimal import Spectrum, make_spectrum, spectrum_result
 from .report import Design
 
-__all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "CapFree", "b_zero_program",
-           "b_zero_design", "solve_b_zero"]
+__all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "b_zero_program", "b_zero_design",
+           "solve_b_zero"]
 
 _X_FLOOR = 1e-12
 
@@ -152,43 +153,38 @@ def _block_solve(ws: _AltWorkspace, prog):
     return sol
 
 
-def _spectrum_program(ws: _AltWorkspace, pj2, p, budget, start, leak_caps=None):
+def _spectrum_program(ws: _AltWorkspace, p, budget, start, leak_caps):
     """Block program over (x, W, eta): minimize the largest high-power
-    SINR bound subject to the trace budget and optional leak caps. The
-    spectrum part of the trace is sum_j pj2_j x_j^2; W enters only with
-    leak caps."""
-    Z = ws.Z
-    nw = ws.nw if leak_caps is not None else 0
+    SINR bound subject to the trace budget and the leak caps."""
+    Z, nw = ws.Z, ws.nw
     n = Z + nw + 1
     E = np.eye(n)
     # Trace budget: diagonal quadratic (P columns are orthogonal to N).
-    M = np.vstack([np.sqrt(pj2)[:, None] * E[:Z], E[Z : Z + nw]])
+    M = np.vstack([np.sqrt(ws.pj2)[:, None] * E[:Z], E[Z : Z + nw]])
     cons = [Quadratic(M=M, d=np.zeros(Z + nw), a=np.zeros(n), b=budget)]
     for k in range(ws.K):
         cons.append(ReciprocalSum(idx=np.arange(Z), coeff=p[k] * ws.abs_a2[:, k],
                                   power=2 * np.ones(Z), a=-E[n - 1], b=0.0))
-    if leak_caps is not None:
-        for k in range(ws.K):
-            M, d = ws.leak_real_map(k, n, Z, x_off=0)
-            cons.append(Quadratic(M=M, d=d, a=np.zeros(n), b=float(leak_caps[k])))
+    for k in range(ws.K):
+        M, d = ws.leak_real_map(k, n, Z, x_off=0)
+        cons.append(Quadratic(M=M, d=d, a=np.zeros(n), b=float(leak_caps[k])))
     for j in range(Z):
         cons.append(Box(idx=j, lo=_X_FLOOR))
     return ConvexProgram(n_vars=n, objective=E[n - 1], constraints=cons,
                          strictly_feasible_point=start)
 
 
-def _cap_free_program(ws: _AltWorkspace, pj2, p, budget):
-    """Spectrum block without leak caps (W = 0), started at an equal split
-    of the trace budget."""
-    v0 = np.empty(ws.Z + 1)
-    v0[: ws.Z] = np.sqrt(0.5 * budget / (ws.Z * pj2))
-    v0[ws.Z] = 1.01 * float(np.max(p * ws.s_of(v0[: ws.Z]))) + 1e-12
-    return _spectrum_program(ws, pj2, p, budget, v0)
+def _cap_free(abs_a2, p, sigma2, prices, budget) -> Spectrum:
+    """The spectrum block without leak caps (W = 0): minimize eta s.t.
+    sum_j prices_j x_j^2 <= budget, p_k sum_j |a_kj|^2 / x_j^2 <= eta and
+    x_j >= _X_FLOOR. In y_j = 1/x_j^2 it is make_spectrum's program with
+    y_j <= 1/_X_FLOOR^2, started at an equal split of the trace budget."""
+    return make_spectrum(abs_a2, p, sigma2, prices, budget, _X_FLOOR ** -2, 2.0 * len(prices) * prices / budget)
 
 
-def _cap_free_spectrum(ws: _AltWorkspace, pj2, p, budget):
+def _cap_free_spectrum(ws: _AltWorkspace, prices, p, budget):
     """x of the solved cap-free spectrum block."""
-    return np.maximum(_block_solve(ws, _cap_free_program(ws, pj2, p, budget)).x[: ws.Z], _X_FLOOR)
+    return 1.0 / np.sqrt(_block_solve(ws, _cap_free(ws.abs_a2, p, ws.sigma2, prices, budget).program).x[: ws.Z])
 
 
 def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
@@ -198,8 +194,7 @@ def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
     if np.any(p < 0) or p.sum() >= ws.params.p_tot:
         raise Infeasible("leaked-power caps leave no valid power allocation")
     budget = ws.params.p_tot - float(p.sum())
-    prog = _spectrum_program(ws, ws.pj2, p, budget, _step1_start(ws, state, budget),
-                             leak_caps=state.c_tilde)
+    prog = _spectrum_program(ws, p, budget, _step1_start(ws, state, budget), state.c_tilde)
     sol = _block_solve(ws, prog)
     x_new = np.maximum(sol.x[: ws.Z], _X_FLOOR)
     W_new = ws.w_from_flat(sol.x[ws.Z : ws.Z + ws.nw])
@@ -404,36 +399,29 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
                          iterations=state.iteration)
 
 
-class CapFree(NamedTuple):
-    """b_zero's cap-free spectrum program, and what its Design needs."""
-
-    ws: _AltWorkspace
-    p: np.ndarray
-    program: ConvexProgram
-
-
-def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> CapFree:
-    """b_zero's first step: the cap-free program on the headroom left by
-    the QoS powers p (those of optimal_power)."""
-    ws = _AltWorkspace(pre, ch, params)
+def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> Spectrum:
+    """b_zero's first step: the cap-free spectrum program on the headroom
+    left by the QoS powers p (those of optimal_power)."""
+    P, _ = gamma_nullspace_param(ch.G)
     budget = params.p_tot - float(np.sum(np.abs(p)))
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    return CapFree(ws, p, _cap_free_program(ws, ws.pj2, p, budget))
+    return _cap_free(np.abs(pre.A) ** 2, p, params.sigma2, np.sum(np.abs(P) ** 2, axis=0), budget)
 
 
-def b_zero_design(item: CapFree, sol) -> Design:
-    """The minimal-norm factor at a solved CapFree spectrum (sol, or the
-    CjoptError that stopped it, raised). eta is the high-power block objective."""
-    x = np.maximum(solved(sol).x[: item.ws.Z], _X_FLOOR)
-    Gamma = item.ws.gamma_of(x, item.ws.W0)
-    return Design(p=item.p, x=x, Sigma=Gamma.conj().T @ Gamma, eta=float(sol.objective_value),
-                  status=sol.status, iterations=0)
+def b_zero_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
+    """The minimal-norm factor Gamma^H = P diag(x) at a solved cap-free
+    spectrum (result as spectrum_result gives it, x = 1/sqrt(y)). eta is
+    the high-power block objective."""
+    y, eta, status, _ = result
+    x = 1.0 / np.sqrt(y)
+    gamma_h = gamma_nullspace_param(ch.G)[0] * x
+    return Design(p=spec.p, x=x, Sigma=gamma_h @ gamma_h.conj().T, eta=eta, status=status, iterations=0)
 
 
 def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """High-power optimal design with the jammer-to-users channel treated
     as exactly zero: leaks vanish, so the minimal-norm factor at the
     optimal spectrum is the answer: b_zero_program and b_zero_design around one solve."""
-    item = b_zero_program(pre, ch, params, optimal_power(pre, params))
-    return b_zero_design(item, kernel.solve(item.program, gap_ref=0.0))
+    spec = b_zero_program(pre, ch, params, optimal_power(pre, params))
+    return b_zero_design(ch, params, spec, spectrum_result(spec, kernel.solve(spec.program, gap_ref=0.0)))

@@ -11,7 +11,7 @@ from .errors import Infeasible
 from .feasibility import optimal_power
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
-from .optimal import Spectrum, compute_phi, make_spectrum, solve_eq14, spectrum_design
+from .optimal import Spectrum, compute_phi, priced_spectrum, solve_eq14, spectrum_design
 from .report import Design
 
 __all__ = ["fixed_split_spectrum", "fixed_split_design", "solve_fixed_split", "no_jamming_report",
@@ -31,7 +31,7 @@ def fixed_split_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p,
         )
     jam_budget = (1.0 - split) * params.p_tot
     phi = compute_phi(ch.G, ch.B)
-    return make_spectrum(pre, params, p, phi, jam_budget, jam_budget + params.sigma2 * float(phi.sum()))
+    return priced_spectrum(pre, params, p, phi, jam_budget, jam_budget + params.sigma2 * float(phi.sum()))
 
 
 def fixed_split_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
@@ -62,7 +62,7 @@ def l_inf_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> Sp
     jamming price tends to 1 / ||g_j||^2."""
     phi = 1.0 / np.sum(np.abs(ch.G) ** 2, axis=0)
     headroom = params.p_tot - float(p.sum())
-    return make_spectrum(pre, params, p, phi, headroom, headroom + params.sigma2 * float(phi.sum()))
+    return priced_spectrum(pre, params, p, phi, headroom, headroom + params.sigma2 * float(phi.sum()))
 
 
 def l_inf_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:

@@ -34,7 +34,7 @@ from .model import (
     generate_rayleigh,
     perturb_csi,
 )
-from .optimal import optimal_spectrum, solve_optimal, spectrum_design, spectrum_result
+from .optimal import Spectrum, optimal_spectrum, solve_optimal, spectrum_design, spectrum_result
 from .report import SolveReport, make_report
 
 __all__ = ["SOLVER_TABLE", "SOLVERS", "SPECTRUM_TABLE", "SweepSpec", "SweepRow", "run_solver",
@@ -54,22 +54,22 @@ SOLVER_TABLE = {
 }
 SOLVERS = tuple(SOLVER_TABLE)
 
-# The entries of SOLVER_TABLE that are one kernel program between two
-# steps: name -> (a record whose .program is that program, or None when
+# The entries of SOLVER_TABLE that are one jamming-spectrum program
+# between two steps: name -> (its Spectrum, whose program is None when
 # there is nothing to solve, from (pre, ch_design, params, p) with p the
 # QoS powers of the existence test; the Design from (ch_design, params,
-# record, sol) with sol the program's KernelSolution, its CjoptError or
-# None). The steps are looked up by module-level name at call time, like
+# spec, result) with result as optimal.spectrum_result gives it). The
+# steps are looked up by module-level name at call time, like
 # SOLVER_TABLE.
 SPECTRUM_TABLE = {
     "optimal": (lambda pre, ch, params, p: optimal_spectrum(pre, ch, params, p),
-                lambda ch, params, spec, sol: spectrum_design(ch, params, spec, spectrum_result(spec, sol))),
+                lambda ch, params, spec, result: spectrum_design(ch, params, spec, result)),
     "fixed_split": (lambda pre, ch, params, p: fixed_split_spectrum(pre, ch, params, p),
-                    lambda ch, params, spec, sol: fixed_split_design(ch, params, spec, spectrum_result(spec, sol))),
+                    lambda ch, params, spec, result: fixed_split_design(ch, params, spec, result)),
     "b_zero": (lambda pre, ch, params, p: b_zero_program(pre, ch, params, p),
-               lambda ch, params, item, sol: b_zero_design(item, sol)),
+               lambda ch, params, spec, result: b_zero_design(ch, params, spec, result)),
     "l_inf_limit": (lambda pre, ch, params, p: l_inf_spectrum(pre, ch, params, p),
-                    lambda ch, params, spec, sol: l_inf_design(ch, params, spec, spectrum_result(spec, sol))),
+                    lambda ch, params, spec, result: l_inf_design(ch, params, spec, result)),
 }
 
 _AXES = ("Z", "P_tot", "tau", "L", "b_gain_db")
@@ -102,6 +102,8 @@ class SweepSpec:
         bad = set(self.solvers) - set(SOLVERS)
         if bad or not self.solvers:
             raise ValueError(f"unknown solvers {sorted(bad)}; choose from {SOLVERS}")
+        if len(set(self.solvers)) < len(self.solvers):
+            raise ValueError(f"solvers must not repeat: {self.solvers}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,7 @@ class _Program(NamedTuple):
     pre: Precoder
     ch: ChannelSet
     ch_design: ChannelSet
-    inputs: object  # what the entry's first step returned
+    spectrum: Spectrum  # what the entry's first step returned
 
 
 def run_sweep(spec: SweepSpec):
@@ -208,18 +210,19 @@ def run_sweep(spec: SweepSpec):
                 pre, ch, ch_design, p = draw
                 try:
                     if solver in SPECTRUM_TABLE:
-                        inputs = SPECTRUM_TABLE[solver][0](pre, ch_design, params, p)
-                        programs.append(_Program(value, solver, ts, params, pre, ch, ch_design, inputs))
+                        spectrum = SPECTRUM_TABLE[solver][0](pre, ch_design, params, p)
+                        programs.append(_Program(value, solver, ts, params, pre, ch, ch_design, spectrum))
                     else:
                         rows.append(_row(spec, value, solver, ts, run_solver(solver, pre, ch, ch_design, params)))
                 except (CjoptError, np.linalg.LinAlgError) as exc:
                     rows.append(_row(spec, value, solver, ts, status=type(exc).__name__))
-    sols = iter(kernel.solve_batch([g.inputs.program for g in programs if g.inputs.program is not None],
+    sols = iter(kernel.solve_batch([g.spectrum.program for g in programs if g.spectrum.program is not None],
                                    gap_ref=0.0))
     for prog in programs:
-        sol = None if prog.inputs.program is None else next(sols)
+        sol = None if prog.spectrum.program is None else next(sols)
         try:
-            design = SPECTRUM_TABLE[prog.solver][1](prog.ch_design, prog.params, prog.inputs, sol)
+            result = spectrum_result(prog.spectrum, sol)
+            design = SPECTRUM_TABLE[prog.solver][1](prog.ch_design, prog.params, prog.spectrum, result)
             rep = make_report(prog.solver, prog.pre, prog.ch, prog.params, design)
             rows.append(_row(spec, prog.value, prog.solver, prog.ts, rep))
         except (CjoptError, np.linalg.LinAlgError) as exc:

@@ -1,10 +1,12 @@
 """Small primal-dual interior-point engine over real variables.
 
-The five convex programs of the artifact all reduce to a linear objective
-under a closed set of convex constraint kinds (linear, reciprocal-sum,
-convex-quadratic, box), given as the plain dataclasses below. Complex
-decision matrices enter through their real embedding before a program is
-assembled, so the kernel itself is purely real.
+The convex programs of the artifact (the jamming-spectrum program of
+``optimal.make_spectrum`` and the two block programs of ``alternating``)
+all reduce to a linear objective under a closed set of convex constraint
+kinds (linear, reciprocal-sum, convex-quadratic, box), given as the plain
+dataclasses below. Complex decision matrices enter through their real
+embedding before a program is assembled, so the kernel itself is purely
+real.
 
 ``solve_batch`` solves programs of any structures, those of one structure
 together in one stacked form (``_Stacked``); ``solve`` is a batch of one.

@@ -103,8 +103,9 @@ class Precoder:
 
 
 def _rng(seed, stream=0):
-    # Philox is counter-based: identical streams on every platform.
-    return np.random.Generator(np.random.Philox(key=[np.uint64(seed) & np.uint64(2**64 - 1), np.uint64(stream)]))
+    # Philox is counter-based: identical streams on every platform. Seeds
+    # wrap modulo 2**64, so -1 draws what 2**64 - 1 draws.
+    return np.random.Generator(np.random.Philox(key=[np.uint64(int(seed) % 2**64), np.uint64(stream)]))
 
 
 def _cn_matrix(rng, rows, cols, variance=1.0):
@@ -164,8 +165,8 @@ def perturb_csi(ch: ChannelSet, xi2, rng_seed=0) -> ChannelSet:
     F and H are left untouched (only the jammer works with imperfect CSI
     in the modelled scenario).
     """
-    if xi2 < 0:
-        raise ValueError("xi2 must be >= 0")
+    if not (np.isfinite(xi2) and xi2 >= 0):
+        raise ValueError(f"xi2 must be finite and >= 0, got {xi2}")
     if xi2 == 0:
         return ch
     rng = _rng(rng_seed, stream=1)

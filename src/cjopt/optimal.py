@@ -18,7 +18,7 @@ from .model import ChannelSet, Precoder, SystemParams
 from .numerics import well_conditioned
 from .report import Design
 
-__all__ = ["Spectrum", "compute_phi", "make_spectrum", "solved", "spectrum_result", "solve_eq14",
+__all__ = ["Spectrum", "compute_phi", "make_spectrum", "priced_spectrum", "spectrum_result", "solve_eq14",
            "build_sigma", "optimal_spectrum", "spectrum_design", "solve_optimal"]
 
 _HEADROOM_TOL = 1e-12
@@ -27,7 +27,8 @@ _HEADROOM_TOL = 1e-12
 class Spectrum(NamedTuple):
     """One jamming-spectrum program (see make_spectrum) and what its
     result needs: |a_kj|^2 at [j, k], the transmit powers p, the noise
-    power sigma2 and the kernel program, None at zero power headroom."""
+    power sigma2 and the kernel program, None at zero power headroom
+    (see priced_spectrum)."""
 
     abs_a2: np.ndarray
     p: np.ndarray
@@ -56,39 +57,40 @@ def compute_phi(G, B):
     return phi
 
 
-def make_spectrum(pre: Precoder, params: SystemParams, p, phi, headroom, b) -> Spectrum:
-    """The jamming-spectrum program shared by the optimal design and the
-    baselines: minimize eta over x (x_j = 1 / (sigma^2 + lambda_j)) s.t.
+def make_spectrum(abs_a2, p, sigma2, prices, budget, hi, y0) -> Spectrum:
+    """The jamming-spectrum program of every spectrum solve: minimize eta
+    over y s.t.
 
-        sum_j phi_j / x_j <= b,  p_k sum_j |a_kj|^2 x_j <= eta,  0 < x_j <= 1/sigma^2,
+        sum_j prices_j / y_j <= budget,  p_k sum_j |a_kj|^2 y_j <= eta,  1e-12 <= y_j <= hi,
 
-    where b = headroom + sigma^2 sum_j phi_j is computed by the caller.
-    With zero power headroom there is no program (see spectrum_result)."""
+    started at y0 and eta just above its bound. eq14 and the baselines
+    solve it in y_j = x_j = 1/(sigma^2 + lambda_j) (see priced_spectrum),
+    the alternating design's cap-free spectrum block in y_j = 1/x_j^2."""
+    Z, K = abs_a2.shape
+    n = Z + 1  # variables [y_1..y_Z, eta]
+    rows = np.empty((K, n))  # p_k sum_j |a_kj|^2 y_j - eta <= 0
+    rows[:, :Z] = p[:, None] * abs_a2.T
+    rows[:, Z] = -1.0
+    cons = [ReciprocalSum(idx=np.arange(Z), coeff=prices, power=np.ones(Z), a=np.zeros(n), b=budget),
+            *(LinearIneq(a=a, b=0.0) for a in rows), *(Box(idx=j, lo=1e-12, hi=hi) for j in range(Z))]
+    v0 = np.empty(n)
+    v0[:Z] = y0
+    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
+    prog = ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons, strictly_feasible_point=v0)
+    return Spectrum(abs_a2, p, sigma2, prog)
+
+
+def priced_spectrum(pre: Precoder, params: SystemParams, p, phi, headroom, b) -> Spectrum:
+    """The spectrum program shared by the optimal design and the
+    baselines, at the prices phi: y = x in (0, 1/sigma^2] and budget
+    b = headroom + sigma^2 sum_j phi_j, computed by the caller. With zero
+    power headroom there is no program (see spectrum_result)."""
     abs_a2 = np.abs(pre.A) ** 2
     if headroom <= _HEADROOM_TOL * params.p_tot:
         return Spectrum(abs_a2, p, params.sigma2, None)
-    Z, K = abs_a2.shape
-    n = Z + 1  # variables [x_1..x_Z, eta]
-    rows = np.empty((K, n))  # p_k sum_j |a_kj|^2 x_j - eta <= 0
-    rows[:, :Z] = p[:, None] * abs_a2.T
-    rows[:, Z] = -1.0
-    hi = 1.0 / params.sigma2
-    cons = [ReciprocalSum(idx=np.arange(Z), coeff=phi, power=np.ones(Z), a=np.zeros(n), b=b),
-            *(LinearIneq(a=a, b=0.0) for a in rows), *(Box(idx=j, lo=1e-12, hi=hi) for j in range(Z))]
-
     theta_min = params.sigma2 * phi.sum() / b
-    v0 = np.empty(n)
-    v0[:Z] = 0.5 * (1.0 + theta_min) / params.sigma2
-    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
-    prog = ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons, strictly_feasible_point=v0)
-    return Spectrum(abs_a2, p, params.sigma2, prog)
-
-
-def solved(result):
-    """A kernel batch entry; raises the CjoptError that stopped its solve."""
-    if isinstance(result, CjoptError):
-        raise result
-    return result
+    y0 = np.full(abs_a2.shape[0], 0.5 * (1.0 + theta_min) / params.sigma2)
+    return make_spectrum(abs_a2, p, params.sigma2, phi, b, 1.0 / params.sigma2, y0)
 
 
 def eq14_spectrum(pre: Precoder, params: SystemParams, p_opt, phi) -> Spectrum:
@@ -98,24 +100,25 @@ def eq14_spectrum(pre: Precoder, params: SystemParams, p_opt, phi) -> Spectrum:
     phi = np.asarray(phi, dtype=float)
     headroom = params.p_tot - float(np.sum(p_opt))
     b = params.p_tot + params.sigma2 * phi.sum() - float(np.sum(p_opt))
-    return make_spectrum(pre, params, p_opt, phi, headroom, b)
+    return priced_spectrum(pre, params, p_opt, phi, headroom, b)
 
 
 def spectrum_result(spec: Spectrum, sol):
-    """(x, eta, status, iterations) of spec from the kernel solution of
+    """(y, eta, status, iterations) of spec from the kernel solution of
     its program (or the CjoptError that stopped it, raised). Without a
-    program (sol None) it is the no-jamming spectrum x = 1/sigma^2 with
+    program (sol None) it is the no-jamming spectrum y = 1/sigma^2 with
     status "NoJammingPower"."""
     if sol is None:
         eta = float(np.max(spec.p * np.sum(spec.abs_a2, axis=0) / spec.sigma2))
         return np.full(spec.abs_a2.shape[0], 1.0 / spec.sigma2), eta, "NoJammingPower", 0
-    sol = solved(sol)
+    if isinstance(sol, CjoptError):
+        raise sol
     return sol.x[:-1].copy(), float(sol.objective_value), sol.status, sol.iterations
 
 
 def solve_eq14(spec: Spectrum):
     """Minimize the largest per-stream SINR bound at Eve over the jamming
-    spectrum (spec from make_spectrum: eq14's, the fixed split's or the
+    spectrum (spec from priced_spectrum: eq14's, the fixed split's or the
     limit's): the spectrum_result of spec's program solved alone. Raises
     the CjoptError that stopped the solve."""
     return spectrum_result(spec, None if spec.program is None else kernel.solve(spec.program, gap_ref=0.0))

@@ -24,8 +24,9 @@ checks `alternating`.
 Gated: row order, trial seeds, status, feasible and exit codes must be
 identical, and every float must agree within --rtol (relative; NaN equals
 NaN; dB columns are compared in linear units). The oracle's printed text
-must be identical. The iterations are reported, not gated. The last lines printed are a summary block; the exit
-code is 0 when every gate holds.
+must be identical. The iterations are reported, not gated. The last lines printed are a summary block, with
+the largest relative difference of each solver; the exit code is 0 when
+every gate holds.
 """
 
 import argparse
@@ -85,22 +86,24 @@ def _rel_diff(a, b):
 
 
 class Comparison:
-    """Gate failures, the largest relative float difference and the
-    iteration changes seen so far."""
+    """Gate failures, the largest relative float difference (in all and
+    per solver) and the iteration changes seen so far."""
 
     def __init__(self, rtol):
         self.rtol = rtol
         self.problems = []
         self.max_rel = 0.0
+        self.max_rel_by_solver = {}
         self.floats = 0
         self.iterations_changed = 0
         self.compared = 0
 
-    def floats_close(self, where, name, a, b):
+    def floats_close(self, where, name, a, b, solver):
         a, b = _linear(name, float(a)), _linear(name, float(b))
         diff = _rel_diff(a, b)
         self.floats += 1
         self.max_rel = max(self.max_rel, diff)
+        self.max_rel_by_solver[solver] = max(self.max_rel_by_solver.get(solver, 0.0), diff)
         if diff > self.rtol:
             self.problems.append(f"{where}: {name} {a!r} vs {b!r} (relative {diff:.3g})")
 
@@ -121,11 +124,11 @@ class Comparison:
             for name in CSV_EXACT:
                 self.exact(row, name, a[name], b[name])
             for name in CSV_FLOATS:
-                self.floats_close(row, name, a[name], b[name])
+                self.floats_close(row, name, a[name], b[name], a["solver"])
             self.iterations_changed += a["iterations"] != b["iterations"]
 
-    def json_report(self, where, base, new):
-        """Compare two `cjopt solve --json` reports field by field."""
+    def json_report(self, where, solver, base, new):
+        """Compare two `cjopt solve --json` reports of solver field by field."""
         self.compared += 1
         self.exact(where, "fields", sorted(base), sorted(new))
         for name in sorted(set(base) & set(new)):
@@ -134,13 +137,13 @@ class Comparison:
                 self.iterations_changed += a != b
             elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
                 for j, (x, y) in enumerate(zip(a, b)):
-                    self._value(where, f"{name}[{j}]", x, y)
+                    self._value(where, solver, f"{name}[{j}]", x, y)
             else:
-                self._value(where, name, a, b)
+                self._value(where, solver, name, a, b)
 
-    def _value(self, where, name, a, b):
+    def _value(self, where, solver, name, a, b):
         if isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(a, bool):
-            self.floats_close(where, name.split("[")[0], a, b)
+            self.floats_close(where, name.split("[")[0], a, b, solver)
         else:
             self.exact(where, name, a, b)
 
@@ -150,6 +153,8 @@ class Comparison:
                 f"  sweep rows and solve reports compared: {self.compared}",
                 f"  floats compared: {self.floats}, largest relative difference: {self.max_rel:.3g}"
                 f" (gate {self.rtol:g})",
+                "  largest relative difference per solver: "
+                + ", ".join(f"{k} {v:.3g}" for k, v in sorted(self.max_rel_by_solver.items())),
                 f"  iterations changed (not gated): {self.iterations_changed}"]
 
 
@@ -189,7 +194,7 @@ def compare_runs(base, new, rtol):
         if key[1].startswith("sweep"):
             cmp.csv(where, base_out, new_out)
         elif base_out.lstrip().startswith("{") and new_out.lstrip().startswith("{"):
-            cmp.json_report(where, json.loads(base_out), json.loads(new_out))
+            cmp.json_report(where, key[1], json.loads(base_out), json.loads(new_out))
         else:
             cmp.exact(where, "output", base_out.strip(), new_out.strip())
     return cmp

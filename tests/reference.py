@@ -4,12 +4,15 @@ Eve's exact SINR, the secrecy rate with its two lower bounds and the
 symbol-error-rate Monte Carlo show that the upper bound the solvers
 minimize is sound; the Hermitian eigendecomposition and square root
 check the metric formulas against an independent factorization; the
-Lagrange-dual lower bound on eq14 certifies the optimal spectrum.
+Lagrange-dual lower bound on eq14 certifies the optimal spectrum; the
+cap-free spectrum block in its original variables checks the one that the
+library solves in y = 1/x^2.
 """
 
 import numpy as np
 
 from cjopt.errors import CjoptError
+from cjopt.kernel import Box, ConvexProgram, Quadratic, ReciprocalSum
 from cjopt.metrics import _eve_noise_cov
 from cjopt.model import ChannelSet, Precoder, _rng
 from cjopt.numerics import check_hermitian, hermitian_solve
@@ -163,3 +166,24 @@ def eq14_dual_bound(abs_a2, p, phi, sigma2, p_tot, x, eta):
     nu = 10.0 ** hi
     xs = minimizer(nu)
     return float(d @ xs + nu * (np.sum(phi / xs) - budget))
+
+
+def cap_free_program_x(abs_a2, p, prices, budget, x_floor=1e-12):
+    """The alternating design's spectrum block without leak caps in x, the
+    singular values of G^H Gamma^H, laid out as [x | eta]:
+
+        minimize eta  s.t.  sum_j prices_j x_j^2 <= budget,
+                            p_k sum_j |a_kj|^2 / x_j^2 <= eta,  x_j >= x_floor,
+
+    started at an equal split of the trace budget."""
+    Z = len(prices)
+    n = Z + 1
+    E = np.eye(n)
+    cons = [Quadratic(M=np.sqrt(prices)[:, None] * E[:Z], d=np.zeros(Z), a=np.zeros(n), b=budget)]
+    cons += [ReciprocalSum(idx=np.arange(Z), coeff=p[k] * abs_a2[:, k], power=2 * np.ones(Z), a=-E[Z], b=0.0)
+             for k in range(len(p))]
+    cons += [Box(idx=j, lo=x_floor) for j in range(Z)]
+    v0 = np.empty(n)
+    v0[:Z] = np.sqrt(0.5 * budget / (Z * prices))
+    v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z] ** -2))) + 1e-12
+    return ConvexProgram(n_vars=n, objective=E[Z], constraints=cons, strictly_feasible_point=v0)

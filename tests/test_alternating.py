@@ -2,10 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cjopt import kernel
 from cjopt.alternating import (
     AlternatingState,
     _AltWorkspace,
+    _cap_free,
     _step1,
     _step2,
     b_zero_program,
@@ -14,15 +17,16 @@ from cjopt.alternating import (
 )
 from cjopt.errors import Infeasible
 from cjopt.feasibility import check_existence, optimal_power
-from cjopt.kernel import ReciprocalSum
+from cjopt.kernel import LinearIneq, ReciprocalSum, _compile
 from cjopt.model import (
     SystemParams,
     channel_inversion_precoder,
     generate_rayleigh,
     precoder_from_unit_columns,
 )
-from cjopt.optimal import solve_optimal
+from cjopt.optimal import optimal_spectrum, solve_optimal
 from cjopt.report import make_report
+from reference import cap_free_program_x
 from util import custom_channels, feasible_instance, make_instance
 
 
@@ -186,7 +190,8 @@ class TestSolveBZero:
     def test_program_uses_the_existence_powers(self):
         # The third QoS power of -(Delta^H)^{-1} 1 lies in (-1e-12, 0); the
         # existence test zeroes it, and the cap-free program must use those
-        # powers, or a reciprocal term gets a negative coefficient.
+        # powers, or a user's row p_k sum_j |a_kj|^2 y_j gets a negative
+        # coefficient.
         params, ch, pre = feasible_instance(0)
         M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -2.0, 1.0 - 1e-13]])
         pre = replace(pre, Delta=-np.linalg.inv(M).T)
@@ -198,6 +203,8 @@ class TestSolveBZero:
         assert np.array_equal(item.p, feas.p_candidate)
         coeffs = np.concatenate([c.coeff for c in item.program.constraints if isinstance(c, ReciprocalSum)])
         assert coeffs.min() >= 0.0
+        rows = np.array([c.a[:-1] for c in item.program.constraints if isinstance(c, LinearIneq)])
+        assert len(rows) == params.k and rows.min() >= 0.0
         d = solve_b_zero(pre, ch, params)
         assert d.status == "Converged" and np.array_equal(d.p, feas.p_candidate)
 
@@ -208,3 +215,30 @@ class TestSolveBZero:
         out = _step1(_AltWorkspace(pre, ch, params), state)
         assert out.x[0] == pytest.approx(d.x[0], rel=1e-5)
         assert out.eta == pytest.approx(d.eta, rel=1e-5)
+
+    def test_program_shares_the_eq14_layout(self):
+        # In y = 1/x^2 the cap-free program is eq14's program at other
+        # prices, so a sweep stacks both in one structure.
+        params, ch, pre = feasible_instance(0)
+        p = optimal_power(pre, params)
+        keys = [_compile(spec.program)[1] for spec in (b_zero_program(pre, ch, params, p),
+                                                      optimal_spectrum(pre, ch, params, p))]
+        assert keys[0] == keys[1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), z=st.integers(1, 5), k=st.integers(1, 4),
+       log_budget=st.floats(-2.0, 4.0))
+def test_cap_free_matches_its_x_form(seed, z, k, log_budget):
+    # The cap-free block solved in y = 1/x^2 has the optimum of the same
+    # block solved in x: eta and x agree to the kernel's accuracy.
+    rng = np.random.default_rng(seed)
+    abs_a2 = rng.exponential(size=(z, k))
+    p = rng.uniform(0.1, 10.0, k)
+    prices = rng.uniform(0.05, 5.0, z)
+    budget = 10.0 ** log_budget
+    sol_y = kernel.solve(_cap_free(abs_a2, p, 1.0, prices, budget).program, gap_ref=0.0)
+    sol_x = kernel.solve(cap_free_program_x(abs_a2, p, prices, budget), gap_ref=0.0)
+    assert sol_y.status == sol_x.status == "Converged"
+    assert sol_y.objective_value == pytest.approx(sol_x.objective_value, rel=1e-8)
+    assert 1.0 / np.sqrt(sol_y.x[:z]) == pytest.approx(sol_x.x[:z], rel=1e-6)

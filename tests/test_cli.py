@@ -129,6 +129,16 @@ class TestSweep:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_csi_error_exits_one(self, tmp_path, capsys):
+        for value in ("nan", "inf"):
+            path = tmp_path / f"xi2_{value}.cfg"
+            path.write_text(GOOD_CONFIG + f"xi2_db = {value}\n")
+            out = tmp_path / f"xi2_{value}.csv"
+            assert main(["sweep", str(path), "--axis", "P_tot_dbm", "--values", "20",
+                         "--solvers", "optimal", "--trials", "1", "--out", str(out)]) == 1
+            assert f"got {value}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_budget_sweep_monotone(self, config, tmp_path):
         out = tmp_path / "p.csv"
         assert main(["sweep", config, "--axis", "P_tot_dbm", "--values", "15,20,25",

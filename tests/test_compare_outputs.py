@@ -34,6 +34,15 @@ def test_float_within_tolerance_passes_and_is_reported():
     assert cmp.problems == [] and 0.0 < cmp.max_rel < 1e-8
 
 
+def test_largest_difference_is_reported_per_solver():
+    rows = [ROWS[0], ROWS[1].replace("0.125,", "0.1250000000002,"), ROWS[2]]
+    cmp = _compare(rows)
+    assert cmp.max_rel_by_solver["optimal"] == 0.0 and cmp.max_rel_by_solver["fixed_split"] == 0.0
+    assert cmp.max_rel_by_solver["l_inf_limit"] == cmp.max_rel > 0.0
+    line = next(text for text in cmp.summary("base") if "per solver" in text)
+    assert line.endswith(f"fixed_split 0, l_inf_limit {cmp.max_rel:.3g}, optimal 0")
+
+
 def test_float_beyond_tolerance_fails():
     rows = [ROWS[0].replace("1.75,", "1.7500001,"), *ROWS[1:]]
     cmp = _compare(rows)
@@ -69,6 +78,7 @@ def test_solve_reports_and_exit_codes():
     base = {("readme", "sweep"): (0, _csv(ROWS)), ("readme", "optimal"): (0, report),
             ("readme", "b_zero"): (2, "infeasible: no power vector")}
     assert compare_runs(base, dict(base), 1e-8).problems == []
-    assert compare_runs(base, {**base, ("readme", "optimal"): (0, moved)}, 1e-8).problems
+    moved_run = compare_runs(base, {**base, ("readme", "optimal"): (0, moved)}, 1e-8)
+    assert moved_run.problems and moved_run.max_rel_by_solver["optimal"] > 1e-8
     assert compare_runs(base, {**base, ("readme", "optimal"): (1, report)}, 1e-8).problems
     assert compare_runs(base, {**base, ("readme", "b_zero"): (2, "infeasible: other")}, 1e-8).problems

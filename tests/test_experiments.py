@@ -47,6 +47,8 @@ class TestSweepSpec:
             _spec(trials=0)
         with pytest.raises(ValueError):
             _spec(solvers=("nope",))
+        with pytest.raises(ValueError, match="repeat"):
+            _spec(solvers=("optimal", "no_jamming", "optimal"))
 
     def test_trial_seed_stable(self):
         assert trial_seed(0, 2, 1) == trial_seed(0, 2, 1)
@@ -213,20 +215,27 @@ class TestRunSweep:
         # A program whose kernel solve fails reports NumericalFailure in its
         # row; the other rows of its batch are unchanged. The sweep makes
         # one batch of the eq14 programs and b_zero's cap-free programs; the
-        # first of each kind (b_zero's has a quadratic trace budget) fails.
+        # first of each kind (b_zero's are those its first step built) fails.
         spec = _spec(axis="P_tot", axis_values=(20.0, 50.0), trials=3,
                      solvers=("optimal", "no_jamming", "fixed_split", "b_zero", "l_inf_limit"))
         want = run_sweep(spec)
-        real = kernel.solve_batch
+        real, real_b_zero = kernel.solve_batch, experiments.b_zero_program
+        b_zero_programs = set()
+
+        def recorded(*args):
+            built = real_b_zero(*args)
+            b_zero_programs.add(id(built.program))
+            return built
 
         def first_of_each_kind_fails(progs, gap_ref=1.0):
             sols = real(progs, gap_ref)
-            cap_free = [any(isinstance(c, kernel.Quadratic) for c in g.constraints) for g in progs]
+            cap_free = [id(g) in b_zero_programs for g in progs]
             if len(set(cap_free)) == 2:
                 for k in (cap_free.index(False), cap_free.index(True)):
                     sols[k] = NumericalFailure("Newton system unsolvable after regularization")
             return sols
 
+        monkeypatch.setattr(experiments, "b_zero_program", recorded)
         monkeypatch.setattr(kernel, "solve_batch", first_of_each_kind_fails)
         got = run_sweep(spec)
         changed = [(a, b) for a, b in zip(want, got) if repr(a) != repr(b)]  # repr: NaN equals NaN

@@ -468,17 +468,23 @@ class TestSolveBatch:
         assert {s.status for s in batch} == {"Converged", "MaxIterations"}
         assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
 
-    def test_programs_of_any_structures_match_lone_solves(self):
-        # One list interleaves eq14 programs of two (Z, K) shapes with
-        # b_zero's cap-free programs of two Z: four structures, each stacked
-        # on its own, and every entry is what its lone solve gives.
-        progs = []
+    def test_programs_of_any_structures_match_lone_solves(self, monkeypatch):
+        # One list interleaves eq14 and b_zero programs of two (Z, K) shapes
+        # (one structure per shape) with the block programs of alternating
+        # runs at L < K + Z: four structures, each stacked on its own, and
+        # every entry is what its lone solve gives.
+        progs, blocks = [], []
+        monkeypatch.setattr(kernel, "solve", lambda prog, gap_ref=1.0: blocks.append(prog) or solve(prog, gap_ref))
         for seed in range(4):
             for shape in ({}, {"k": 2, "l": 7, "z": 3}):
                 params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed), **shape)
                 p = optimal_power(pre, params)
                 progs.append(optimal_spectrum(pre, ch, params, p).program)
                 progs.append(b_zero_program(pre, ch, params, p).program)
+            params, ch, pre = feasible_instance(seed, l=4, gain_db_b=-10.0)
+            solve_alternating(pre, ch, params, max_iters=1)
+            progs += blocks[:2]  # _step1 and _step2
+            blocks.clear()
         assert len({_compile(p)[1] for p in progs}) == 4
         batch = solve_batch(progs, gap_ref=0.0)
         assert all(s.status == "Converged" for s in batch)

@@ -43,6 +43,13 @@ class TestGenerateRayleigh:
         c = generate_rayleigh(params, rng_seed=8)
         assert not np.array_equal(a.F, c.F)
 
+    def test_seeds_wrap_modulo_2_to_the_64(self):
+        # A negative seed, or one of 2**64 or more, wraps instead of failing.
+        params = SystemParams(n=4, k=2, l=4, z=2, sigma2=1.0, tau=2.0, p_tot=10.0)
+        top = generate_rayleigh(params, rng_seed=2**64 - 1)
+        assert np.array_equal(generate_rayleigh(params, rng_seed=-1).G, top.G)
+        assert np.array_equal(generate_rayleigh(params, rng_seed=2**64).G, generate_rayleigh(params, rng_seed=0).G)
+
     def test_unit_element_power(self):
         # >= 1e4 entries at 0 dB gain: sample variance within 5 %.
         params = SystemParams(n=120, k=100, l=100, z=2, sigma2=1.0, tau=2.0, p_tot=10.0)
