@@ -8,11 +8,11 @@ dataclasses below. Complex decision matrices enter through their real
 embedding before a program is assembled, so the kernel itself is purely
 real.
 
-``solve_batch`` solves programs of any structures, those of one structure
-together in one stacked form (``_Stacked``); ``solve`` is a batch of one.
-``phase_one`` is an ordinary program too: the auxiliary-slack problem,
-built from the dataclasses and handed to ``solve``. Every constraint row
-i of program k reads
+``solve_batch`` solves programs of any structures: one alone in its
+structure (every ``solve`` call) on the lone path ``_lone``, two or more
+in one stacked form (``_Stacked``) by ``_path``. ``phase_one`` is an
+ordinary program too: the auxiliary-slack problem, built from the
+dataclasses and handed to ``solve``. Every constraint row i of program k reads
 
     g_ki(v) = A_ki . v - b_ki + sum_t coeff_kt / v[var_t]**power_t + ||M_ki v + d_ki||^2
 
@@ -26,7 +26,7 @@ its own A, b, coefficients, M, d, objective and start point. The arrays
 carry a leading batch axis, left out for a stack of one, and whatever
 does not depend on v is done at compile time.
 
-Each program runs one primal-dual path-following iteration (``_path``;
+Each program runs one primal-dual path-following iteration (``_lone``;
 Boyd & Vandenberghe, *Convex Optimization*, 11.7). It keeps a strictly
 interior v and multipliers lam > 0 and takes Newton steps towards the
 central point lam_i (-g_i(v)) = 1/t, c + J^T lam = 0. The Newton matrix
@@ -36,14 +36,15 @@ from one t to the next. The stop is a residual test at the final t: the
 barrier decrement and the spread of t lam_i s_i about 1.
 
 The programs are small, so a Newton step costs numpy calls more than
-arithmetic; a stack shares those calls. Every program keeps its own t,
-lam, step lengths, line search, step count and status, decided in Python
-floats with the arithmetic of a lone solve, and leaves the stack when it
-stops. A program whose Newton matrix is singular climbs its own ridge
-ladder, and one whose ladder runs out stops with NumericalFailure while
-the rest of its stack runs on. Each vector operation acts on each
-program's slice alone, so a result is the same to the last bit in any
-batch as alone.
+arithmetic. The lone path decides t, the decrement, the step lengths and
+the line-search test in Python floats; a stack shares the numpy calls,
+and each of its programs keeps its own t, lam, step lengths, line search,
+step count and status, decided with the lone path's arithmetic, and
+leaves when it stops. A program whose Newton matrix is singular climbs
+its own ridge ladder, and one whose ladder runs out stops with
+NumericalFailure while the rest of its stack runs on. Each vector
+operation acts on each program's slice alone, so a result is the same to
+the last bit in any batch as alone.
 """
 
 import copy
@@ -251,14 +252,14 @@ class _Stacked:
         return sub
 
     def each(self, values):
-        """A list of per-program numbers, shaped to broadcast against the
-        points: a (b, 1, 1) array, or the number itself for a batch of one."""
-        return values[0] if self.one else np.array(values).reshape(-1, 1, 1)
+        """Per-program numbers as a (b, 1, 1) array, to broadcast against the points."""
+        return np.array(values).reshape(-1, 1, 1)
 
     def g(self, v, k=None):
-        """Every g_ki(v_k), and a mask (b, 1, 1) of the programs whose v_k
-        lies in the domain (every reciprocal variable > 0), or None when
-        all of them do."""
+        """Every g_ki(v_k); a mask (b, 1, 1) of the programs whose v_k lies
+        in the domain (every reciprocal variable > 0), or None when all of
+        them do; and the reciprocal variables x = v[r_var], which jac and
+        hess take at a point inside the domain."""
         if k is None:
             A, b, r_coeff, M, d = self.A, self.b, self.r_coeff, self.M, self.d
         else:
@@ -273,21 +274,21 @@ class _Stacked:
                          minlength=g.size).reshape(g.shape)
         if self.has_quad:
             g[..., self.q_rows, :] += self.Q @ (M @ v + d) ** 2
-        return g, ok
+        return g, ok, x
 
     def interior(self, v, k=None):
         """g(v), and a mask like g's of the programs with every g_i(v)
         finite and < 0; None when all of them pass."""
-        g, ok = self.g(v, k)
+        g, ok, _ = self.g(v, k)
         if ok is None and g.max() < 0.0 and g.min() > -np.inf:  # (NaN fails)
             return g, None
         inside = ((g < 0.0) & (g > -np.inf)).all(axis=-2, keepdims=True)
         return g, inside if ok is None else inside & ok
 
-    def jac(self, v):
-        """The m x n Jacobian of every g_k at v_k (inside the domain)."""
+    def jac(self, v, x):
+        """The m x n Jacobian of every g_k at v_k (inside the domain); x = v[r_var], as g gives it."""
         A = self.A
-        rec = np.bincount(self.j_idx, (self.r_dcoeff / v.take(self.r_var, axis=-2) ** self.r_dpow).ravel(),
+        rec = np.bincount(self.j_idx, (self.r_dcoeff / x ** self.r_dpow).ravel(),
                           minlength=A.size).reshape(A.shape)
         if not self.has_quad:
             return A + rec
@@ -297,10 +298,10 @@ class _Stacked:
         J += rec
         return J
 
-    def hess(self, v, w, base):
+    def hess(self, v, w, base, x):
         """sum_i w_ki * (Hessian of g_ki at v_k), for every program k, added
-        in place to base (C-contiguous, shaped like the Hessians)."""
-        curv = self.r_ccoeff / v.take(self.r_var, axis=-2) ** self.r_cpow
+        in place to base (C-contiguous, shaped like the Hessians); x as in jac."""
+        curv = self.r_ccoeff / x ** self.r_cpow
         diag = np.bincount(self.h_idx, (w.take(self.r_row, axis=-2) * curv).ravel(), minlength=v.size)
         if self.has_quad:
             H = w.take(self.q_rows, axis=-2).swapaxes(-1, -2) @ self.H2
@@ -326,7 +327,7 @@ def _newton(H, rhs):
     not finite climbs its own ridge ladder; returns X and the programs
     whose system stayed unsolvable (their X_k is NaN)."""
     X = _solve(H, rhs, signature="dd->d")
-    if np.isfinite(X).all():
+    if math.isfinite(X.sum()) or np.isfinite(X).all():  # the sum is NaN or inf if any entry is
         return X, _NONE
     n = H.shape[-1]
     Hs, Rs, Xs = H.reshape(-1, n, n), rhs.reshape(-1, n, 2), X.reshape(-1, n, 2)
@@ -344,35 +345,104 @@ def _newton(H, rhs):
     return X, np.array(failed, dtype=int)
 
 
-def _path(S: _Stacked, c, v, gap_ref):
-    """Primal-dual path following from the interior points v, one per
-    program of S, with objectives c (both shaped like S's points).
+def _lone(S: _Stacked, c, v, gap_ref):
+    """Primal-dual path following from the interior point v of the one
+    program of S, with objective c (both (n, 1) columns).
 
     With s = -g(v) and multipliers lam > 0, each step solves
     (J^T diag(lam/s) J + sum_i lam_i Hess g_i) dv = -(c + J^T (1/(t s))) and
-    takes dlam = (lam/s) (J dv) - lam + 1/(t s). The matrix does not depend
-    on t, so one solve with the columns c and J^T (1/s) gives dv and the
-    decrement dec = t (c + J^T (1/(t s))) . (-dv) at any t. The first step
-    picks the t at which the start point's barrier decrement is least. A
-    point is centered when dec and max |t lam s - 1| are at most _CENTERED;
-    there t grows by _MU, until the gap bound holds and dec <= _FINAL. dv is
-    a descent direction of the barrier t c.v - sum log s, which the line
-    search lowers; lam takes its own step. A line search that cannot lower
-    the barrier ends the solve with MaxIterations.
+    takes dlam = (lam/s) (J dv) - lam + 1/(t s). One solve with the columns
+    c and J^T (1/s) gives dv and the decrement
+    dec = t (c + J^T (1/(t s))) . (-dv) at any t. The first step picks the t
+    at which the start point's decrement is least. A point is centered when
+    dec and max |t lam s - 1| are at most _CENTERED; there t grows by _MU,
+    until the gap bound holds and dec <= _FINAL. The line search lowers the
+    barrier t c.v - sum log s along dv, or ends the solve with MaxIterations.
 
-    The vector work runs on the whole batch at once. Each program's
-    numbers (t, dec, the step lengths, the line search's test) are Python
-    floats in lists, decided program by program with the arithmetic of a
-    lone solve, and a program that ends leaves the batch.
-
-    Returns one entry per program: its KernelSolution, or the
+    Returns the KernelSolution (path_objectives: the objectives where t grew
+    and at the end; kkt_residual: max |c + J^T lam| / max(1, |c|)), or the
     NumericalFailure of a Newton system that no ridge made solvable.
-    path_objectives are the objectives at the centered points where t grew
-    and at the last point; kkt_residual is the largest entry of the dual
-    residual c + J^T lam, relative to max(1, |c|).
     """
+    g, _, x = S.g(v)
+    lam = -1.0 / g  # 1/(t s) at t = 1
+    rhs = np.concatenate([c, c], axis=-1)  # the columns c and J^T (1/s)
+    coef = np.full((2, 1), -1.0)  # dv = X @ (-1, -1/t)
+    path = []
+
+    def finish(status):  # the KernelSolution at the current point
+        ck, vk, lk = c.reshape(-1), v.reshape(-1), lam.reshape(-1)
+        kkt = np.abs(ck + J.T @ lk).max() / max(1.0, np.abs(ck).max())
+        return KernelSolution(x=vk.copy(), objective_value=float(ck @ vk), kkt_residual=float(kkt),
+                              iterations=step, status=status, path_objectives=path)
+
+    for step in range(_MAX_STEPS + 1):
+        J = S.jac(v, x)
+        inv_s = -1.0 / g
+        w = lam * inv_s
+        rhs[:, 1:] = J.T @ inv_s
+        X, failed = _newton(S.hess(v, lam, (J * w).T @ J, x), rhs)
+        (cc, cu), (_, uu) = (rhs.T @ X).tolist()
+        if step == 0:
+            # At lam = 1/(t s) the matrix scales by 1/t, so the decrement
+            # is t^2 cc + 2 t cu + uu in the t = 1 products.
+            t = -cu / cc if cu < 0 else _T0
+            cc, cu, uu = cc * t, cu * t, uu * t
+            coef[1, 0] = -1.0 / t
+            lam, w, X = lam / t, w / t, X * t
+        dec = t * cc + 2.0 * cu + uu / t
+        if failed.size:
+            return NumericalFailure("Newton system unsolvable after regularization")
+        if dec <= _CENTERED and np.abs(t * lam * g + 1.0).max() <= _CENTERED:
+            obj = (c.T @ v).item()
+            final = S.m / t <= _GAP_TOL * (gap_ref + abs(obj))
+            if final and dec <= _FINAL:
+                path.append(obj)
+                return finish("Converged")
+            if not final:
+                # The last rise stops just past the gap rule: a larger t
+                # only shrinks the slacks towards the rounding of g.
+                path.append(obj)
+                t = min(_MU * t, 1.01 * S.m / max(_GAP_TOL * (gap_ref + abs(obj)), 1e-300))
+                coef[1, 0] = -1.0 / t
+                dec = t * cc + 2.0 * cu + uu / t
+        if step == _MAX_STEPS:
+            return finish("MaxIterations")
+        dv = X @ coef
+        Jdv = J @ dv
+        dlam = w * Jdv + inv_s / t - lam
+        # Go _TO_BOUNDARY of the way to where a linearized slack (for v) or
+        # a multiplier (for lam) reaches 0.
+        r_v, r_lam, cdv = np.concatenate([(Jdv * inv_s).max(axis=-2), (dlam / lam).min(axis=-2),
+                                          (c.T @ dv)[..., 0]]).tolist()
+        alpha = min(1.0, _TO_BOUNDARY / max(r_v, 1e-300))
+        alpha_d = min(1.0, -_TO_BOUNDARY / min(r_lam, -1e-300))
+        # Backtrack on the change of the barrier, summed term by term: halve
+        # the step until the barrier falls or the step is at most 1e-14. At a
+        # trial inside the domain the sum is finite only if every g lies in
+        # (-inf, 0); the interior test then runs only when it is not.
+        while alpha > 1e-14:
+            tr = v + alpha * dv
+            gr, mask, xr = S.g(tr)
+            if mask is None:  # inside the domain
+                sums = np.log(gr / g).sum(axis=-2).item()
+                inside = math.isfinite(sums) or (gr.max() < 0.0 and gr.min() > -np.inf)
+                if inside and alpha * (t * cdv) - sums <= -_DECREASE * alpha * dec:
+                    v, g, x = tr, gr, xr
+                    break
+            alpha *= 0.5
+        if alpha <= 1e-14:  # no step lowers the barrier: stop at the old point
+            return finish("MaxIterations")
+        lam = lam + alpha_d * dlam
+
+
+def _path(S: _Stacked, c, v, gap_ref):
+    """_lone for the two or more programs of S, from the points v with the
+    objectives c (both shaped like S's points): one entry per program. The
+    vector work runs on the whole batch at once; each program's numbers (t,
+    dec, the step lengths, the line-search test) are Python floats in lists,
+    decided with the arithmetic of _lone, and a program that ends leaves."""
     n = S.n
-    b = 1 if S.one else len(v)
+    b = len(v)
     out = [None] * b
     live = list(range(b))  # the batch position of each program still running
     paths = [[] for _ in out]
@@ -393,15 +463,14 @@ def _path(S: _Stacked, c, v, gap_ref):
                                           path_objectives=paths[live[k]])
 
     for step in range(_MAX_STEPS + 1):
-        J = S.jac(v)
+        x = v.take(S.r_var, axis=-2)
+        J = S.jac(v, x)
         inv_s = -1.0 / g
         w = lam * inv_s
         rhs[..., 1:] = J.swapaxes(-1, -2) @ inv_s
-        X, failed = _newton(S.hess(v, lam, (J * w).swapaxes(-1, -2) @ J), rhs)
+        X, failed = _newton(S.hess(v, lam, (J * w).swapaxes(-1, -2) @ J, x), rhs)
         P = (rhs.swapaxes(-1, -2) @ X).reshape(-1, 2, 2).tolist()  # per program ((cc, cu), (cu, uu))
         if step == 0:
-            # At lam = 1/(t s) the matrix scales by 1/t, so the decrement
-            # is t^2 cc + 2 t cu + uu in the t = 1 products.
             t = [-cu / cc if cu < 0 else _T0 for (cc, cu), _ in P]
             P = [((cc * tk, cu * tk), (None, uu * tk)) for tk, ((cc, cu), (_, uu)) in zip(t, P)]
             tcol = S.each(t)
@@ -427,8 +496,6 @@ def _path(S: _Stacked, c, v, gap_ref):
                         converged.append(k)
                         ended[k] = True
                     elif not final:
-                        # The last rise stops just past the gap rule: a larger
-                        # t only shrinks the slacks towards the rounding of g.
                         paths[live[k]].append(obj[k])
                         t[k] = min(_MU * t[k], 1.01 * S.m / max(_GAP_TOL * (gap_ref + abs(obj[k])), 1e-300))
                         coef.reshape(-1, 2)[k, 1] = -1.0 / t[k]
@@ -450,8 +517,6 @@ def _path(S: _Stacked, c, v, gap_ref):
         dv = X @ coef
         Jdv = J @ dv
         dlam = w * Jdv + inv_s / tcol - lam
-        # Go _TO_BOUNDARY of the way to where a linearized slack (for v) or
-        # a multiplier (for lam) reaches 0.
         reach = np.concatenate([(Jdv * inv_s).max(axis=-2), (dlam / lam).min(axis=-2),
                                 (ct @ dv)[..., 0]], axis=-1).reshape(-1, 3).tolist()
         alpha, alpha_d, tcdv = [], [], []
@@ -512,7 +577,7 @@ def _rows(keep, S, *arrays):
 
 
 def solve_batch(progs, gap_ref=1.0):
-    """Primal-dual solves (see _path) of programs of any structures; those
+    """Primal-dual solves (see _lone) of programs of any structures; those
     of one structure (see the module docstring) are stepped together. Each
     stops at the first t whose duality-gap bound m/t is below
     _GAP_TOL * (gap_ref + |objective|) once its point is centered. gap_ref=0
@@ -540,9 +605,10 @@ def solve_batch(progs, gap_ref=1.0):
                 out[run[j]], ok[j] = exc, False
         if ok.any():
             C = np.array([progs[k].objective for k in run], dtype=float)[:, :, None]
-            with np.errstate(invalid="ignore"):  # a singular Newton system gives NaN (see _solve)
+            # NaN from a singular Newton system (see _solve); logs of g >= 0 in _lone's line search
+            with np.errstate(divide="ignore", invalid="ignore"):
                 if S.one:
-                    sols = _path(S, C[0], V[0], gap_ref)
+                    sols = [_lone(S, C[0], V[0], gap_ref)]
                 else:
                     live = np.flatnonzero(ok)
                     sols = _path(S if ok.all() else S.take(live), C[live], V[live], gap_ref)
@@ -552,7 +618,7 @@ def solve_batch(progs, gap_ref=1.0):
 
 
 def solve(prog: ConvexProgram, gap_ref=1.0) -> KernelSolution:
-    """solve_batch of one program; raises the CjoptError that stops it."""
+    """solve_batch of one program, on the lone path; raises the CjoptError that stops it."""
     sol = solve_batch([prog], gap_ref)[0]
     if isinstance(sol, CjoptError):
         raise sol

@@ -29,12 +29,12 @@ def check_hermitian(A, rtol=HERMITIAN_RTOL):
     return A
 
 
-def well_conditioned(M):
+def well_conditioned(M, hermitian=False):
     """True when the 2-norm condition number of M is finite and at most
     COND_LIMIT: the test every solver applies before inverting M. The
-    ratio of the extreme singular values is np.linalg.cond(M), without
-    that function's overhead."""
-    s = np.linalg.svd(M, compute_uv=False)
+    ratio of the extreme singular values (for hermitian=True the absolute
+    eigenvalues, which cost less) is np.linalg.cond(M) without its overhead."""
+    s = np.linalg.svd(M, compute_uv=False, hermitian=hermitian)
     return bool(s[-1] > 0.0 and s[0] / s[-1] <= COND_LIMIT)
 
 

@@ -36,22 +36,37 @@ class Spectrum(NamedTuple):
     program: ConvexProgram | None
 
 
+_last_gram = (np.zeros(0), None)  # ([G B], its _gram_inverse) of the last call
+
+
+def _gram_inverse(G, B):
+    """[G B] and the inverse of gram = [G B]^H [G B], None unless gram is
+    well_conditioned (so are B^H B and compute_phi's Schur complement then).
+    compute_phi and build_sigma on one draw share it: the last result is
+    reused while [G B] holds the same values."""
+    global _last_gram
+    joint = np.hstack([G, B])
+    last, inv = _last_gram
+    if last.dtype != joint.dtype or not np.array_equal(last, joint):
+        gram = joint.conj().T @ joint
+        inv = np.linalg.inv(gram) if well_conditioned(gram, hermitian=True) else None
+        _last_gram = (joint, inv)
+    return joint, inv
+
+
 def compute_phi(G, B):
     """Per-direction jamming power prices: the diagonal of
-    [G^H G - G^H B (B^H B)^{-1} B^H G]^{-1}.
+    [G^H G - G^H B (B^H B)^{-1} B^H G]^{-1}, which by the block-inverse
+    formula is the first Z diagonal entries of ([G B]^H [G B])^{-1}.
 
     This is the cost of placing unit jamming power toward Eve's j-th
     direction while staying orthogonal to all user channels.
     """
-    GG = G.conj().T @ G
-    GB = G.conj().T @ B
-    BB = B.conj().T @ B
-    if not well_conditioned(BB):
-        raise IllConditioned("B^H B is singular to working precision")
-    schur = GG - GB @ np.linalg.solve(BB, GB.conj().T)
-    if not well_conditioned(schur):
-        raise IllConditioned("jamming Schur complement is singular (need L >= K + Z)")
-    phi = np.diag(np.linalg.inv(schur)).real
+    inv = _gram_inverse(G, B)[1]
+    if inv is None:
+        raise IllConditioned("B^H B is singular to working precision" if not well_conditioned(B.conj().T @ B)
+                             else "jamming Schur complement is singular (need L >= K + Z)")
+    phi = inv.diagonal()[: G.shape[1]].real.copy()
     if np.any(phi <= 0):
         raise IllConditioned("non-positive jamming price; degenerate channel draw")
     return phi
@@ -137,14 +152,10 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     if np.any(lam < -1e-9 * max(sigma2, float(np.abs(lam).max()))):
         raise ValueError("jamming spectrum outside (0, 1/sigma^2]")
     lam = np.clip(lam, 0.0, None)
-    joint = np.hstack([ch.G, ch.B])
-    gram = joint.conj().T @ joint
-    if not well_conditioned(gram):
+    joint, inv = _gram_inverse(ch.G, ch.B)
+    if inv is None:
         raise RankDeficient("[G B] lost full column rank; need L >= K + Z")
-    Z = ch.G.shape[1]
-    K = ch.B.shape[1]
-    rhs = np.vstack([np.diag(np.sqrt(lam)).astype(np.complex128), np.zeros((K, Z))])
-    Gamma_H = joint @ np.linalg.solve(gram, rhs)  # L x Z
+    Gamma_H = joint @ (inv[:, : ch.G.shape[1]] * np.sqrt(lam))  # L x Z: [G B] gram^-1 [Lambda^{1/2}; 0]
     Sigma = Gamma_H @ Gamma_H.conj().T
     # Construction self-checks (the two defining equalities); NaN fails too.
     scale = max(np.abs(Gamma_H).max(), 1.0)
@@ -175,6 +186,7 @@ def spectrum_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result
 def solve_optimal(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """Full pipeline: closed-form p, jamming-spectrum program, minimal-norm
     covariance reconstruction. eta is the eq14 optimum and iterations its
-    Newton steps."""
+    Newton steps. The design is the best zero-forcing one (B^H Sigma = 0); one
+    that leaks into the users can beat it at low power, less as P_tot grows."""
     spec = optimal_spectrum(pre, ch, params, optimal_power(pre, params))
     return spectrum_design(ch, params, spec, solve_eq14(spec))

@@ -4,9 +4,10 @@ Eve's exact SINR, the secrecy rate with its two lower bounds and the
 symbol-error-rate Monte Carlo show that the upper bound the solvers
 minimize is sound; the Hermitian eigendecomposition and square root
 check the metric formulas against an independent factorization; the
-Lagrange-dual lower bound on eq14 certifies the optimal spectrum; the
-cap-free spectrum block in its original variables checks the one that the
-library solves in y = 1/x^2.
+Lagrange-dual lower bound on eq14 certifies the optimal spectrum, and the
+Z = 1 closed form pins it to the best zero-forcing design; the cap-free
+spectrum block in its original variables checks the one that the library
+solves in y = 1/x^2.
 """
 
 import numpy as np
@@ -166,6 +167,22 @@ def eq14_dual_bound(abs_a2, p, phi, sigma2, p_tot, x, eta):
     nu = 10.0 ** hi
     xs = minimizer(nu)
     return float(d @ xs + nu * (np.sum(phi / xs) - budget))
+
+
+def zero_forcing_eta_z1(F, U, H, G, B, sigma2, tau, p_tot):
+    """eta of the best zero-forcing design (B^H Sigma = 0) for one Eve
+    antenna, in closed form. The channel-inversion precoder U leaves no
+    interference between users, so the QoS powers are
+    p0_k = tau sigma^2 / |f_k^H u_k|^2, and the jammer puts the rest of the
+    budget on the direction Pi g, with Pi the projector onto span(B)^perp:
+
+        eta = max_k p0_k |h^H u_k|^2 / (sigma^2 + (P_tot - sum_k p0_k) ||Pi g||^2).
+    """
+    p0 = tau * sigma2 / np.abs(np.einsum("nk,nk->k", F.conj(), U)) ** 2
+    g = G[:, 0]
+    pi_g = g - B @ np.linalg.lstsq(B, g, rcond=None)[0]
+    jam = (p_tot - p0.sum()) * np.vdot(pi_g, pi_g).real
+    return float(np.max(p0 * np.abs(H[:, 0].conj() @ U) ** 2) / (sigma2 + jam))
 
 
 def cap_free_program_x(abs_a2, p, prices, budget, x_floor=1e-12):

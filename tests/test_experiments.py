@@ -145,8 +145,8 @@ class TestRunSweep:
             assert r.feasible, (r.solver, r.status)
 
     def test_kernel_status_reaches_rows(self, monkeypatch):
-        # Every kernel solve goes through solve_batch: kernel.solve is a
-        # batch of one, and the sweep batches the spectrum programs.
+        # Every kernel solve goes through solve_batch: kernel.solve hands it
+        # one program, and the sweep batches the spectrum programs.
         real_solve_batch = kernel.solve_batch
 
         def capped(*args, **kwargs):

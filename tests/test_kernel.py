@@ -207,6 +207,13 @@ def _random_program(rng, n):
     return ConvexProgram(n_vars=n, objective=np.zeros(n), constraints=cons), v
 
 
+def _bounded_objective(rng, n):
+    """A random objective that the boxes of _random_program bound: v_j has
+    both bounds for j % 3 == 0, a lower bound only for 1, an upper only for 2."""
+    c = rng.standard_normal(n)
+    return np.where(np.arange(n) % 3 == 1, np.abs(c), np.where(np.arange(n) % 3 == 2, -np.abs(c), c))
+
+
 def _col(x):
     """A vector as the column the compiled form of one program takes."""
     return np.reshape(x, (-1, 1))
@@ -226,17 +233,21 @@ def test_stacked_form_matches_formulas_and_differences(seed, n):
     h = 1e-6
     w = rng.uniform(0.1, 2.0, S.m)
     A = S.A.copy()
-    J, H = S.jac(_col(v)), S.hess(_col(v), _col(w), np.zeros((S.n, S.n)))
+
+    def jac(v):
+        return S.jac(_col(v), S.g(_col(v))[2])
+
+    J, H = jac(v), S.hess(_col(v), _col(w), np.zeros((S.n, S.n)), S.g(_col(v))[2])
     # A second evaluation agrees, and neither edits the compiled A in place.
-    assert np.array_equal(S.jac(_col(v)), J)
-    assert np.array_equal(S.hess(_col(v), _col(w), np.zeros((S.n, S.n))), H)
+    assert np.array_equal(jac(v), J)
+    assert np.array_equal(S.hess(_col(v), _col(w), np.zeros((S.n, S.n)), S.g(_col(v))[2]), H)
     assert np.array_equal(S.A, A)
     for j in range(S.n):
         e = np.zeros(S.n)
         e[j] = h
         dg = (S.g(_col(v + e))[0][:, 0] - S.g(_col(v - e))[0][:, 0]) / (2 * h)
         assert J[:, j] == pytest.approx(dg, rel=1e-6, abs=1e-6)
-        dgrad = (S.jac(_col(v + e)).T @ w - S.jac(_col(v - e)).T @ w) / (2 * h)
+        dgrad = (jac(v + e).T @ w - jac(v - e).T @ w) / (2 * h)
         assert H[:, j] == pytest.approx(dgrad, rel=1e-5, abs=1e-5)
 
 
@@ -488,4 +499,44 @@ class TestSolveBatch:
         assert len({_compile(p)[1] for p in progs}) == 4
         batch = solve_batch(progs, gap_ref=0.0)
         assert all(s.status == "Converged" for s in batch)
+        assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), gap_ref=st.sampled_from([0.0, 1.0]))
+    def test_lone_path_matches_the_stacked_path(self, seed, n, gap_ref):
+        # Two random programs of one structure (other objectives, other
+        # starts) are stepped together; a third, of another size, takes the
+        # lone path in the same batch. Each equals its lone solve to the bit.
+        rng = np.random.default_rng(seed)
+        prog, v = _random_program(rng, n)
+        other, w = _random_program(rng, n % 5 + 1)
+        progs = [replace(prog, objective=_bounded_objective(rng, n), strictly_feasible_point=v),
+                 replace(prog, objective=_bounded_objective(rng, n), strictly_feasible_point=0.5 * (v + 1.0)),
+                 replace(other, objective=_bounded_objective(rng, len(w)), strictly_feasible_point=w)]
+        batch = solve_batch(progs, gap_ref)
+        assert all(_same(sol, _alone(p, gap_ref)) for p, sol in zip(progs, batch))
+        assert all(isinstance(sol, kernel.KernelSolution) for sol in batch)
+
+    def test_lone_path_edge_cases_match_the_stacked_path(self, monkeypatch):
+        # v[1] is in no constraint and not in the objective, so every Newton
+        # matrix is singular and each step climbs the ridge ladder, which
+        # rescues it.
+        calls, real = [], kernel._solve
+        monkeypatch.setattr(kernel, "_solve", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        ridge = [ConvexProgram(n_vars=2, objective=np.array([1.0, 0.0]), constraints=[Box(idx=0, lo=lo, hi=10.0)],
+                               strictly_feasible_point=np.array([2.0 * lo, 0.5])) for lo in (1.0, 2.0)]
+        batch = solve_batch(ridge)
+        assert [s.status for s in batch] == ["Converged"] * 2
+        assert [s.x[0] for s in batch] == pytest.approx([1.0, 2.0], rel=1e-8)
+        assert len(calls) > 2 * max(s.iterations + 1 for s in batch)  # ridge solves besides the plain ones
+        assert all(_same(sol, _alone(p, 1.0)) for p, sol in zip(ridge, batch))
+        # A NaN objective leaves no ridge that helps.
+        progs = _eq14_programs(3)
+        nan = [replace(p, objective=np.full(p.n_vars, np.nan)) for p in progs[:2]]
+        assert all(isinstance(sol, NumericalFailure) for sol in solve_batch(nan, gap_ref=0.0))
+        assert all(isinstance(_alone(p, 0.0), NumericalFailure) for p in nan)
+        # A step cap ends every solve in MaxIterations, alone and stacked.
+        monkeypatch.setattr(kernel, "_MAX_STEPS", 4)
+        batch = solve_batch(progs, gap_ref=0.0)
+        assert [s.status for s in batch] == ["MaxIterations"] * 3
         assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cjopt import kernel
-from cjopt.errors import RankDeficient
+from cjopt.errors import IllConditioned, RankDeficient
 from cjopt.feasibility import optimal_power
 from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import Precoder, SystemParams
@@ -17,6 +17,7 @@ from cjopt.optimal import (
     solve_optimal,
     spectrum_result,
 )
+from reference import zero_forcing_eta_z1
 from util import custom_channels, feasible_instance, make_instance
 
 
@@ -164,5 +165,46 @@ class TestSolveOptimal:
 
     def test_needs_enough_jammer_antennas(self):
         params, ch, pre = feasible_instance(0, l=4)  # L < K + Z
+        with pytest.raises(RankDeficient):
+            solve_optimal(pre, ch, params)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_is_the_best_zero_forcing_design_for_one_eve_antenna(self, k):
+        # optimal minimizes eta over the covariances with B^H Sigma = 0; at
+        # Z = 1 that optimum has a closed form. A design that leaks into the
+        # users can do better at low power, so it is not the overall optimum.
+        for l in range(k + 1, k + 4):
+            for p_tot_dbm in range(20, 80, 10):
+                for seed in range(6):
+                    params, ch, pre = feasible_instance(seed, n=4, k=k, l=l, z=1, p_tot=10 ** (p_tot_dbm / 10))
+                    want = zero_forcing_eta_z1(ch.F, pre.U, ch.H, ch.G, ch.B, params.sigma2, params.tau,
+                                               params.p_tot)
+                    assert solve_optimal(pre, ch, params).eta == pytest.approx(want, rel=1e-8)
+
+    def test_degenerate_draws_raise(self):
+        # Each stage raises its own type on a degenerate draw: compute_phi
+        # IllConditioned, build_sigma RankDeficient, and solve_optimal the
+        # first that fires (RankDeficient straight away when L < K + Z).
+        params, ch, pre = feasible_instance(0)  # K = 3, Z = 2, L = 6
+        eye = np.eye(params.l, dtype=complex)
+        draws = [
+            # Collinear columns of B.
+            replace(ch, B=np.column_stack([ch.B[:, 0], 2.0 * ch.B[:, 0], ch.B[:, 2]])),
+            # G inside span(B), with integer entries so that the Schur
+            # complement is exactly zero in floating point.
+            replace(ch, B=eye[:, :3], G=eye[:, :3] @ np.array([[1, 2j], [0, 1], [3, -1]])),
+        ]
+        for bad in draws:
+            with pytest.raises(IllConditioned):
+                compute_phi(bad.G, bad.B)
+            with pytest.raises(RankDeficient):
+                build_sigma(bad, np.full(params.z, 0.5), params.sigma2)
+            with pytest.raises(IllConditioned):
+                solve_optimal(pre, bad, params)
+        params, ch, pre = feasible_instance(0, l=4)
+        with pytest.raises(IllConditioned):
+            compute_phi(ch.G, ch.B)
+        with pytest.raises(RankDeficient):
+            build_sigma(ch, np.full(params.z, 0.5), params.sigma2)
         with pytest.raises(RankDeficient):
             solve_optimal(pre, ch, params)
