@@ -37,14 +37,15 @@ barrier decrement and the spread of t lam_i s_i about 1.
 
 The programs are small, so a Newton step costs numpy calls more than
 arithmetic. The lone path decides t, the decrement, the step lengths and
-the line-search test in Python floats; a stack shares the numpy calls,
-and each of its programs keeps its own t, lam, step lengths, line search,
-step count and status, decided with the lone path's arithmetic, and
-leaves when it stops. A program whose Newton matrix is singular climbs
-its own ridge ladder, and one whose ladder runs out stops with
-NumericalFailure while the rest of its stack runs on. Each vector
-operation acts on each program's slice alone, so a result is the same to
-the last bit in any batch as alone.
+the line-search test in Python floats; a stack shares the numpy calls
+and keeps each program's t, decrement, step lengths and line search in
+per-program arrays over the batch, decided by array expressions that do
+the lone path's IEEE operations in its order, and a program leaves when
+it stops. A program whose Newton matrix is singular climbs its own ridge
+ladder, and one whose ladder runs out stops with NumericalFailure while
+the rest of its stack runs on. Each vector operation acts on each
+program's slice alone, so a result is the same to the last bit in any
+batch as alone.
 """
 
 import copy
@@ -208,7 +209,7 @@ class _Stacked:
     ``k`` of the programs k (never for a batch of one)."""
 
     # The arrays that differ by program; take() slices them.
-    _OWN = ("A", "b", "r_coeff", "r_dcoeff", "r_ccoeff", "M", "d", "H2")
+    _OWN = ("A", "b", "r_coeff", "r_pow", "r_dcoeff", "r_dpow", "r_ccoeff", "r_cpow", "M", "d", "H2")
 
     def __init__(self, compiled):
         layout, _, values = compiled[0]
@@ -222,6 +223,11 @@ class _Stacked:
         self.r_pow = r_pow[:, None]
         self.r_dcoeff, self.r_dpow = -self.r_pow * self.r_coeff, self.r_pow + 1
         self.r_ccoeff, self.r_cpow = self.r_pow * (self.r_pow + 1) * self.r_coeff, self.r_pow + 2
+        # An exponent per program, as alone: over a broadcast exponent numpy takes x ** 2.0 as
+        # x * x, which can differ in the last bit from its power loop over contiguous exponents.
+        if not self.one:
+            self.r_pow, self.r_dpow, self.r_cpow = (np.broadcast_to(p, self.r_coeff.shape).copy()
+                                                    for p in (self.r_pow, self.r_dpow, self.r_cpow))
         # Flat scatter targets of the reciprocal terms of the programs in
         # turn: the row (for g), the Jacobian cell row * n + var (a repeated
         # cell sums its terms) and the Hessian diagonal entry, and the flat
@@ -251,26 +257,22 @@ class _Stacked:
         sub.j_idx, sub.h_idx, sub.diag = self.j_idx[:terms], self.h_idx[:terms], self.diag[:len(keep) * self.n]
         return sub
 
-    def each(self, values):
-        """Per-program numbers as a (b, 1, 1) array, to broadcast against the points."""
-        return np.array(values).reshape(-1, 1, 1)
-
     def g(self, v, k=None):
         """Every g_ki(v_k); a mask (b, 1, 1) of the programs whose v_k lies
         in the domain (every reciprocal variable > 0), or None when all of
         them do; and the reciprocal variables x = v[r_var], which jac and
         hess take at a point inside the domain."""
         if k is None:
-            A, b, r_coeff, M, d = self.A, self.b, self.r_coeff, self.M, self.d
+            A, b, r_coeff, r_pow, M, d = self.A, self.b, self.r_coeff, self.r_pow, self.M, self.d
         else:
-            A, b, r_coeff, M, d = self.A[k], self.b[k], self.r_coeff[k], self.M[k], self.d[k]
+            A, b, r_coeff, r_pow, M, d = self.A[k], self.b[k], self.r_coeff[k], self.r_pow[k], self.M[k], self.d[k]
         x = v.take(self.r_var, axis=-2)
         ok = None
         if self.T and not x.min() > 0.0:
             ok = ~(x <= 0.0).any(axis=-2, keepdims=True)
             x = np.where(ok, x, 1.0)  # rows outside the domain are discarded
         g = A @ v - b
-        g += np.bincount(self.g_idx[:x.size], (r_coeff / x**self.r_pow).ravel(),
+        g += np.bincount(self.g_idx[:x.size], (r_coeff / x**r_pow).ravel(),
                          minlength=g.size).reshape(g.shape)
         if self.has_quad:
             g[..., self.q_rows, :] += self.Q @ (M @ v + d) ** 2
@@ -439,12 +441,11 @@ def _path(S: _Stacked, c, v, gap_ref):
     """_lone for the two or more programs of S, from the points v with the
     objectives c (both shaped like S's points): one entry per program. The
     vector work runs on the whole batch at once; each program's numbers (t,
-    dec, the step lengths, the line-search test) are Python floats in lists,
-    decided with the arithmetic of _lone, and a program that ends leaves."""
-    n = S.n
-    b = len(v)
-    out = [None] * b
-    live = list(range(b))  # the batch position of each program still running
+    dec, the step lengths, the line-search test) are entries of (b, 1, 1)
+    arrays, decided with _lone's IEEE operations in its order (and Python's
+    min and max on a NaN), and a program that ends leaves."""
+    out = [None] * len(v)
+    live = np.arange(len(v))  # the batch position of each program still running
     paths = [[] for _ in out]
     g = S.g(v)[0]
     lam = -1.0 / g  # 1/(t s) at t = 1
@@ -455,8 +456,8 @@ def _path(S: _Stacked, c, v, gap_ref):
     def finish(ks, status):
         """Record the programs ks with ``status`` at the current point."""
         for k in ks:
-            ck, vk = c.reshape(-1, n)[k], v.reshape(-1, n)[k]
-            Jk, lk = J.reshape(-1, S.m, n)[k], lam.reshape(-1, S.m)[k]
+            ck, vk = c.reshape(-1, S.n)[k], v.reshape(-1, S.n)[k]
+            Jk, lk = J.reshape(-1, S.m, S.n)[k], lam.reshape(-1, S.m)[k]
             kkt = np.abs(ck + Jk.T @ lk).max() / max(1.0, np.abs(ck).max())
             out[live[k]] = KernelSolution(x=vk.copy(), objective_value=float(ck @ vk),
                                           kkt_residual=float(kkt), iterations=step, status=status,
@@ -469,110 +470,95 @@ def _path(S: _Stacked, c, v, gap_ref):
         w = lam * inv_s
         rhs[..., 1:] = J.swapaxes(-1, -2) @ inv_s
         X, failed = _newton(S.hess(v, lam, (J * w).swapaxes(-1, -2) @ J, x), rhs)
-        P = (rhs.swapaxes(-1, -2) @ X).reshape(-1, 2, 2).tolist()  # per program ((cc, cu), (cu, uu))
+        P = rhs.swapaxes(-1, -2) @ X  # per program ((cc, cu), (cu, uu))
+        cc, cu, uu = P[:, :1, :1], P[:, :1, 1:], P[:, 1:, 1:]
         if step == 0:
-            t = [-cu / cc if cu < 0 else _T0 for (cc, cu), _ in P]
-            P = [((cc * tk, cu * tk), (None, uu * tk)) for tk, ((cc, cu), (_, uu)) in zip(t, P)]
-            tcol = S.each(t)
-            coef.reshape(-1, 2)[:, 1] = [-1.0 / tk for tk in t]
-            lam, w, X = lam / tcol, w / tcol, X * tcol
-        dec = [tk * cc + 2.0 * cu + uu / tk for tk, ((cc, cu), (_, uu)) in zip(t, P)]
-        if failed.size or min(dec) <= _CENTERED or step == _MAX_STEPS:
-            ended = [False] * b
-            for k in failed:  # its dec is NaN, so it is not centered below
+            t = np.where(cu < 0, -cu / cc, _T0)
+            cc, cu, uu = cc * t, cu * t, uu * t
+            coef[:, 1:] = -1.0 / t
+            lam, w, X = lam / t, w / t, X * t
+        dec = t * cc + 2.0 * cu + uu / t
+        if failed.size or step == _MAX_STEPS or (dec <= _CENTERED).any():
+            ended = np.zeros(len(t), dtype=bool)
+            ended[failed] = True  # its dec is NaN, so it is not centered below
+            for k in failed:
                 out[live[k]] = NumericalFailure("Newton system unsolvable after regularization")
-                ended[k] = True
-            centered = [k for k in range(b) if dec[k] <= _CENTERED]
-            if centered:
-                spread = np.abs(tcol * lam * g + 1.0).max(axis=-2).ravel().tolist()
-                centered = [k for k in centered if spread[k] <= _CENTERED]
-            if centered:
-                obj = (ct @ v).ravel().tolist()
-                converged = []
-                for k in centered:
-                    final = S.m / t[k] <= _GAP_TOL * (gap_ref + abs(obj[k]))
-                    if final and dec[k] <= _FINAL:
-                        paths[live[k]].append(obj[k])
-                        converged.append(k)
-                        ended[k] = True
-                    elif not final:
-                        paths[live[k]].append(obj[k])
-                        t[k] = min(_MU * t[k], 1.01 * S.m / max(_GAP_TOL * (gap_ref + abs(obj[k])), 1e-300))
-                        coef.reshape(-1, 2)[k, 1] = -1.0 / t[k]
-                        (cc, cu), (_, uu) = P[k]
-                        dec[k] = t[k] * cc + 2.0 * cu + uu / t[k]
-                        tcol = S.each(t)
-                finish(converged, "Converged")
+            centered = (dec <= _CENTERED) & (np.abs(t * lam * g + 1.0).max(axis=-2, keepdims=True) <= _CENTERED)
+            if centered.any():
+                obj = ct @ v
+                bound = _GAP_TOL * (gap_ref + np.abs(obj))
+                final = S.m / t <= bound
+                done, rise = centered & final & (dec <= _FINAL), centered & ~final
+                for k in np.flatnonzero(done | rise):
+                    paths[live[k]].append(obj.item(k))
+                if rise.any():
+                    # min(_MU t, 1.01 m / max(bound, 1e-300)) as _lone takes it
+                    cap = 1.01 * S.m / np.where(bound < 1e-300, 1e-300, bound)
+                    t = np.where(rise, np.where(cap < _MU * t, cap, _MU * t), t)
+                    coef[:, 1:] = -1.0 / t
+                    dec = t * cc + 2.0 * cu + uu / t
+                ended |= done.ravel()
+                finish(np.flatnonzero(done), "Converged")
             if step == _MAX_STEPS:
-                finish([k for k in range(b) if not ended[k]], "MaxIterations")
+                finish(np.flatnonzero(~ended), "MaxIterations")
                 break
-            if True in ended:
-                keep = [k for k in range(b) if not ended[k]]
-                if not keep:
+            if ended.any():
+                keep = np.flatnonzero(~ended)
+                if not keep.size:
                     break
-                S, v, g, lam, c, ct, rhs, coef, J, X, w, inv_s = _rows(
-                    keep, S, v, g, lam, c, ct, rhs, coef, J, X, w, inv_s)
-                t, dec, live, b = [t[k] for k in keep], [dec[k] for k in keep], [live[k] for k in keep], len(keep)
-                tcol = S.each(t)
+                S, v, g, lam, c, ct, rhs, coef, J, X, w, inv_s, t, dec, live = _rows(
+                    keep, S, v, g, lam, c, ct, rhs, coef, J, X, w, inv_s, t, dec, live)
         dv = X @ coef
         Jdv = J @ dv
-        dlam = w * Jdv + inv_s / tcol - lam
-        reach = np.concatenate([(Jdv * inv_s).max(axis=-2), (dlam / lam).min(axis=-2),
-                                (ct @ dv)[..., 0]], axis=-1).reshape(-1, 3).tolist()
-        alpha, alpha_d, tcdv = [], [], []
-        for tk, (r_v, r_lam, cdv) in zip(t, reach):
-            alpha.append(min(1.0, _TO_BOUNDARY / max(r_v, 1e-300)))
-            alpha_d.append(min(1.0, -_TO_BOUNDARY / min(r_lam, -1e-300)))
-            tcdv.append(tk * cdv)
+        dlam = w * Jdv + inv_s / t - lam
+        # min(1.0, _TO_BOUNDARY / max(r_v, 1e-300)) and
+        # min(1.0, -_TO_BOUNDARY / min(r_lam, -1e-300)) as _lone takes them.
+        r_v, r_lam = (Jdv * inv_s).max(axis=-2, keepdims=True), (dlam / lam).min(axis=-2, keepdims=True)
+        alpha = _TO_BOUNDARY / np.where(r_v < 1e-300, 1e-300, r_v)
+        alpha = np.where(alpha < 1.0, alpha, 1.0)
+        alpha_d = -_TO_BOUNDARY / np.where(r_lam > -1e-300, -1e-300, r_lam)
+        alpha_d = np.where(alpha_d < 1.0, alpha_d, 1.0)
+        tcdv = t * (ct @ dv)
         # Backtrack on the change of the barrier, summed term by term, in
         # every program still searching: each halves its own step until the
         # barrier falls or the step is at most 1e-14, and then keeps v.
         trial, g_t = v, g
-        search = list(range(b)) if min(alpha) > 1e-14 else [k for k in range(b) if alpha[k] > 1e-14]
-        while search:
-            whole = len(search) == b
-            if whole:
-                tr, gb = v + S.each(alpha) * dv, g
+        search = np.flatnonzero(alpha > 1e-14)
+        while search.size:
+            if search.size == len(t):
+                k, a, tr, gb = None, alpha, v + alpha * dv, g
             else:
-                tr, gb = v[search] + S.each([alpha[k] for k in search]) * dv[search], g[search]
-            gr, inside = S.interior(tr, None if whole else search)
-            sums = np.log((gr if inside is None else np.where(inside, gr, gb)) / gb).sum(axis=-2).ravel().tolist()
-            ok = None if inside is None else inside.ravel().tolist()
-            accepted, left = [], []
-            for j, k in enumerate(search):
-                if (ok is None or ok[j]) and alpha[k] * tcdv[k] - sums[j] <= -_DECREASE * alpha[k] * dec[k]:
-                    accepted.append(j)
-                else:
-                    alpha[k] *= 0.5
-                    if alpha[k] > 1e-14:
-                        left.append(k)
-            if whole and len(accepted) == b:
+                k, a = search, alpha[search]
+                tr, gb = v[k] + a * dv[k], g[k]
+            gr, inside = S.interior(tr, k)
+            sums = np.log((gr if inside is None else np.where(inside, gr, gb)) / gb).sum(axis=-2, keepdims=True)
+            ok = a * (tcdv if k is None else tcdv[k]) - sums <= -_DECREASE * a * (dec if k is None else dec[k])
+            ok = (ok if inside is None else ok & inside).ravel()
+            if k is None and ok.all():
                 trial, g_t = tr, gr
                 break
-            if accepted:
+            if ok.any():
                 if trial is v:
                     trial, g_t = v.copy(), g.copy()
-                to = [search[j] for j in accepted]
-                trial[to], g_t[to] = tr[accepted], gr[accepted]
-            search = left
-        if min(alpha) <= 1e-14:  # no step lowers the barrier: stop at the old point
-            finish([k for k in range(b) if alpha[k] <= 1e-14], "MaxIterations")
-            keep = [k for k in range(b) if alpha[k] > 1e-14]
-            if not keep:
+                trial[search[ok]], g_t[search[ok]] = tr[ok], gr[ok]
+            back = search[~ok]
+            alpha[back] *= 0.5
+            search = back[alpha[back].ravel() > 1e-14]
+        stalled = (alpha <= 1e-14).ravel()
+        if stalled.any():  # no step lowers the barrier: stop at the old point
+            finish(np.flatnonzero(stalled), "MaxIterations")
+            keep = np.flatnonzero(~stalled)
+            if not keep.size:
                 break
-            S, trial, g_t, lam, c, ct, rhs, coef, dlam = _rows(
-                keep, S, trial, g_t, lam, c, ct, rhs, coef, dlam)
-            t, alpha_d, live, b = ([t[k] for k in keep], [alpha_d[k] for k in keep],
-                                   [live[k] for k in keep], len(keep))
-            tcol = S.each(t)
+            S, trial, g_t, lam, c, ct, rhs, coef, dlam, t, alpha_d, live = _rows(
+                keep, S, trial, g_t, lam, c, ct, rhs, coef, dlam, t, alpha_d, live)
         v, g = trial, g_t
-        lam = lam + S.each(alpha_d) * dlam
+        lam = lam + alpha_d * dlam
     return out
 
 
 def _rows(keep, S, *arrays):
-    """S and every array restricted to the programs ``keep`` of a batch."""
-    keep = np.array(keep)
+    """S and every array restricted to the programs ``keep`` (an index array) of a batch."""
     return (S.take(keep),) + tuple(a[keep] for a in arrays)
 
 

@@ -27,13 +27,15 @@ _HEADROOM_TOL = 1e-12
 class Spectrum(NamedTuple):
     """One jamming-spectrum program (see make_spectrum) and what its
     result needs: |a_kj|^2 at [j, k], the transmit powers p, the noise
-    power sigma2 and the kernel program, None at zero power headroom
-    (see priced_spectrum)."""
+    power sigma2, the kernel program, None at zero power headroom (see
+    priced_spectrum), and for prices from compute_phi the ([G B], inverse)
+    pair it read, which spectrum_design hands back to build_sigma."""
 
     abs_a2: np.ndarray
     p: np.ndarray
     sigma2: float
     program: ConvexProgram | None
+    gram: tuple | None = None
 
 
 _last_gram = (np.zeros(0), None)  # ([G B], its _gram_inverse) of the last call
@@ -43,7 +45,7 @@ def _gram_inverse(G, B):
     """[G B] and the inverse of gram = [G B]^H [G B], None unless gram is
     well_conditioned (so are B^H B and compute_phi's Schur complement then).
     compute_phi and build_sigma on one draw share it: the last result is
-    reused while [G B] holds the same values."""
+    reused while [G B] holds the same values (see also spectrum_design)."""
     global _last_gram
     joint = np.hstack([G, B])
     last, inv = _last_gram
@@ -70,6 +72,11 @@ def compute_phi(G, B):
     if np.any(phi <= 0):
         raise IllConditioned("non-positive jamming price; degenerate channel draw")
     return phi
+
+
+def _phi_and_gram(G, B):
+    """compute_phi(G, B) and the ([G B], inverse) pair it read, for a Spectrum to carry."""
+    return compute_phi(G, B), _last_gram
 
 
 def make_spectrum(abs_a2, p, sigma2, prices, budget, hi, y0) -> Spectrum:
@@ -171,14 +178,20 @@ def optimal_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> 
     optimal_power) and the prices phi."""
     if params.l < params.k + params.z:
         raise RankDeficient(f"optimal design needs L >= K + Z (L={params.l}, K+Z={params.k + params.z})")
-    return eq14_spectrum(pre, params, p, compute_phi(ch.G, ch.B))
+    phi, gram = _phi_and_gram(ch.G, ch.B)
+    return eq14_spectrum(pre, params, p, phi)._replace(gram=gram)
 
 
 def spectrum_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
     """The Design of a solved spectrum (result as spectrum_result gives
     it): spec's powers and the minimal-norm covariance on ch. eta is the
-    program's optimum and iterations its Newton steps."""
+    program's optimum and iterations its Newton steps. build_sigma
+    reuses the gram inverse that spec carries: a sweep builds every
+    trial's Spectrum before any Design."""
+    global _last_gram
     x, eta, status, iterations = result
+    if spec.gram is not None:
+        _last_gram = spec.gram
     _, Sigma = build_sigma(ch, x, params.sigma2)
     return Design(p=spec.p, x=x, Sigma=Sigma, eta=eta, status=status, iterations=iterations)
 

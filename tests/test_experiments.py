@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import experiments, feasibility, kernel
+from cjopt import experiments, feasibility, kernel, optimal
 from cjopt.errors import CjoptError, Infeasible, NumericalFailure
 from cjopt.experiments import (
     SOLVER_TABLE,
@@ -25,7 +25,7 @@ from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
 from cjopt.report import Design, make_report
 from reference import secrecy_bounds, sinr_eve_full
-from util import feasible_instance
+from util import feasible_instance, sweep_cli_spec
 
 BASE = SystemParams(n=8, k=3, l=6, z=2, sigma2=1.0, tau=2.0, p_tot=100.0)
 
@@ -210,6 +210,21 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert len(rows) == 2 * 3 * 4 and all(r.feasible for r in rows)
         assert calls == {"solve_batch": 1, "check_existence": 2 * 3}
+
+    def test_one_gram_inverse_per_feasible_trial(self, monkeypatch):
+        # optimal and fixed_split price a trial's draw with compute_phi in
+        # the first stage and build its Sigma in the last, after every
+        # other trial's first stage: each Spectrum carries the inverse of
+        # [G B]^H [G B] from one stage to the other, so a draw tests and
+        # inverts its gram once.
+        tests = []
+        real = optimal.well_conditioned
+        monkeypatch.setattr(optimal, "well_conditioned", lambda *a, **kw: tests.append(1) or real(*a, **kw))
+        rows = run_sweep(sweep_cli_spec())
+        feasible = {r.trial_seed for r in rows if r.solver == "optimal" and r.feasible}
+        assert len(feasible) >= 30
+        assert all(r.feasible for r in rows if r.trial_seed in feasible and r.solver != "fixed_split")
+        assert len(tests) == len(feasible)
 
     def test_failed_program_keeps_its_own_row(self, monkeypatch):
         # A program whose kernel solve fails reports NumericalFailure in its

@@ -1,12 +1,13 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import kernel
+from cjopt import experiments, kernel
 from cjopt.alternating import b_zero_program, gamma_nullspace_param, solve_alternating
-from cjopt.errors import InfeasibleProgram, NumericalFailure, RankDeficient
+from cjopt.errors import CjoptError, InfeasibleProgram, NumericalFailure, RankDeficient
 from cjopt.feasibility import check_existence, optimal_power
 from cjopt.kernel import (
     Box,
@@ -23,7 +24,7 @@ from cjopt.kernel import (
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
 from cjopt.optimal import compute_phi, optimal_spectrum, solve_optimal
 from reference import eq14_dual_bound
-from util import feasible_instance
+from util import feasible_instance, sweep_cli_spec
 
 
 def test_min_x_above_one():
@@ -539,4 +540,47 @@ class TestSolveBatch:
         monkeypatch.setattr(kernel, "_MAX_STEPS", 4)
         batch = solve_batch(progs, gap_ref=0.0)
         assert [s.status for s in batch] == ["MaxIterations"] * 3
+        assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), size=st.integers(6, 8),
+           gap_ref=st.sampled_from([0.0, 1.0]))
+    def test_larger_batches_match_lone_solves(self, seed, n, size, gap_ref):
+        # size programs of one structure, each with its own objective and a
+        # start near the program's interior point (phase one finds another
+        # when it is not interior), and a copy with a NaN objective are
+        # stepped together. Each equals its lone solve to the bit, uncapped
+        # and under a step cap below the median step count.
+        rng = np.random.default_rng(seed)
+        prog, v = _random_program(rng, n)
+        progs = [replace(prog, objective=_bounded_objective(rng, n),
+                         strictly_feasible_point=v + rng.uniform(-0.05, 0.05, n)) for _ in range(size)]
+        progs.insert(int(rng.integers(0, size + 1)), replace(progs[0], objective=np.full(n, np.nan)))
+
+        def lone(p):
+            try:
+                return solve(p, gap_ref)
+            except CjoptError as exc:
+                return exc
+
+        batch = solve_batch(progs, gap_ref)
+        assert all(_same(sol, lone(p)) for p, sol in zip(progs, batch))
+        assert sum(isinstance(sol, NumericalFailure) for sol in batch) >= 1
+        steps = sorted(s.iterations for s in batch if isinstance(s, kernel.KernelSolution))
+        with mock.patch.object(kernel, "_MAX_STEPS", max(steps[len(steps) // 2] - 1, 1)):
+            batch = solve_batch(progs, gap_ref)
+            assert any(getattr(s, "status", None) == "MaxIterations" for s in batch)
+            assert all(_same(sol, lone(p)) for p, sol in zip(progs, batch))
+
+    def test_sweep_cli_batch_matches_lone_solves(self, monkeypatch):
+        # The one batch of a sweep shaped like the benchmark's `cjopt
+        # sweep` call (eq14, fixed-split, limit and b_zero programs, all of
+        # one structure) gives each program its lone solve.
+        batches, real = [], kernel.solve_batch
+        monkeypatch.setattr(kernel, "solve_batch",
+                            lambda progs, gap_ref=1.0: batches.append(progs) or real(progs, gap_ref))
+        experiments.run_sweep(sweep_cli_spec())
+        [progs] = batches
+        assert len(progs) >= 120 and len({_compile(p)[1] for p in progs}) == 1
+        batch = real(progs, gap_ref=0.0)
         assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from cjopt.experiments import SweepSpec
 from cjopt.feasibility import check_existence
 from cjopt.model import (
     ChannelSet,
@@ -26,6 +27,14 @@ def feasible_instance(seed, **kw):
         if check_existence(pre, params).feasible:
             return params, ch, pre
         seed += 1
+
+
+def sweep_cli_spec():
+    """The sweep of the benchmark's in-process `cjopt sweep`: P_tot 15-30
+    dBm on N=8, K=3, L=6, Z=2, tau 3 dB, with its five solvers."""
+    base = SystemParams(n=8, k=3, l=6, z=2, sigma2=1.0, tau=10 ** 0.3, p_tot=100.0)
+    return SweepSpec(base=base, axis="P_tot", axis_values=tuple(10 ** (dbm / 10) for dbm in (15, 20, 25, 30)),
+                     trials=10, solvers=("optimal", "fixed_split", "no_jamming", "b_zero", "l_inf_limit"), seed=1)
 
 
 def random_psd(rng, n, scale=1.0):
