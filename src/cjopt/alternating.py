@@ -27,7 +27,6 @@ from .feasibility import delta_inverse_neg, optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
-from .numerics import well_conditioned
 from .optimal import Spectrum, make_spectrum, spectrum_result
 from .report import Design
 
@@ -341,11 +340,10 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
     """
     optimal_power(pre, params)  # the existence test: raises Infeasible
     ws = _AltWorkspace(pre, ch, params)
-    joint = np.hstack([ch.G, ch.B])
-    gram = joint.conj().T @ joint
-    zf_possible = params.l >= params.k + params.z and well_conditioned(gram)
+    joint, inv = ch.zero_forcing if params.l >= params.k + params.z else (None, None)
+    zf_possible = inv is not None
     if zf_possible:
-        S = (joint @ np.linalg.inv(gram))[:, : params.z]  # columns scale with x_j
+        S = (joint @ inv)[:, : params.z]  # columns scale with x_j
         c0 = np.zeros(params.k)
         x0 = np.full(params.z, np.nan)
     else:

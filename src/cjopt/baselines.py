@@ -11,7 +11,7 @@ from .errors import Infeasible
 from .feasibility import optimal_power
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
-from .optimal import Spectrum, _phi_and_gram, priced_spectrum, solve_eq14, spectrum_design
+from .optimal import Spectrum, compute_phi, priced_spectrum, solve_eq14, spectrum_design
 from .report import Design
 
 __all__ = ["fixed_split_spectrum", "fixed_split_design", "solve_fixed_split", "no_jamming_report",
@@ -30,9 +30,8 @@ def fixed_split_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p,
             f"QoS allocation needs {p.sum():.6g} mW, over the transmitter share {bs_budget:.6g} mW"
         )
     jam_budget = (1.0 - split) * params.p_tot
-    phi, gram = _phi_and_gram(ch.G, ch.B)
-    spec = priced_spectrum(pre, params, p, phi, jam_budget, jam_budget + params.sigma2 * float(phi.sum()))
-    return spec._replace(gram=gram)
+    phi = compute_phi(ch)
+    return priced_spectrum(pre, params, p, phi, jam_budget, jam_budget + params.sigma2 * float(phi.sum()))
 
 
 def fixed_split_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:

@@ -643,7 +643,9 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     non-box constraint, with the boxes kept and s in a box of its own. It
     is an ordinary program, solved with ``solve`` from a start that is
     interior by construction; the first n_vars variables of its optimum
-    are returned when they are interior.
+    are returned when they are interior. A solve that stopped short of
+    Converged at a point that is not interior proves nothing and raises
+    NumericalFailure.
     """
     n = prog.n_vars
     S = _Stacked([_compile(prog)])
@@ -665,7 +667,10 @@ def phase_one(prog: ConvexProgram) -> np.ndarray:
     # solve would start phase one again from a start that is not interior.
     if _Stacked([_compile(aux)]).interior(w[:, None])[1] is not None:
         raise NumericalFailure("phase one could not construct an interior start")
-    x = solve(aux).x
+    sol = solve(aux)
+    x = sol.x
     if S.interior(x[:n, None])[1] is None:
         return x[:n].copy()
+    if sol.status != "Converged":
+        raise NumericalFailure(f"phase one stopped ({sol.status}) at {x[n]:.3e} before an interior point")
     raise InfeasibleProgram(f"phase-one optimum {x[n]:.3e} is not strictly negative")

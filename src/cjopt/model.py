@@ -6,6 +6,7 @@ and config-file boundary.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -68,12 +69,24 @@ class ChannelSet:
 
     F: N x K (BS -> users), H: N x Z (BS -> Eve),
     B: L x K (jammer -> users), G: L x Z (jammer -> Eve).
+    The arrays are never written in place (replace gives a new draw), so
+    what a draw caches from them stays valid.
     """
 
     F: np.ndarray
     H: np.ndarray
     B: np.ndarray
     G: np.ndarray
+
+    @cached_property
+    def zero_forcing(self):
+        """[G B] and the inverse of gram = [G B]^H [G B], None unless gram
+        is well_conditioned (so are B^H B and the Schur complement of
+        compute_phi then): the one factor that every zero-forcing step on
+        this draw shares, computed at its first use."""
+        joint = np.hstack([self.G, self.B])
+        gram = joint.conj().T @ joint
+        return joint, np.linalg.inv(gram) if well_conditioned(gram, hermitian=True) else None
 
     def validate(self, params: SystemParams):
         n, k, l, z = params.n, params.k, params.l, params.z

@@ -27,56 +27,32 @@ _HEADROOM_TOL = 1e-12
 class Spectrum(NamedTuple):
     """One jamming-spectrum program (see make_spectrum) and what its
     result needs: |a_kj|^2 at [j, k], the transmit powers p, the noise
-    power sigma2, the kernel program, None at zero power headroom (see
-    priced_spectrum), and for prices from compute_phi the ([G B], inverse)
-    pair it read, which spectrum_design hands back to build_sigma."""
+    power sigma2, and the kernel program, None at zero power headroom
+    (see priced_spectrum)."""
 
     abs_a2: np.ndarray
     p: np.ndarray
     sigma2: float
     program: ConvexProgram | None
-    gram: tuple | None = None
 
 
-_last_gram = (np.zeros(0), None)  # ([G B], its _gram_inverse) of the last call
-
-
-def _gram_inverse(G, B):
-    """[G B] and the inverse of gram = [G B]^H [G B], None unless gram is
-    well_conditioned (so are B^H B and compute_phi's Schur complement then).
-    compute_phi and build_sigma on one draw share it: the last result is
-    reused while [G B] holds the same values (see also spectrum_design)."""
-    global _last_gram
-    joint = np.hstack([G, B])
-    last, inv = _last_gram
-    if last.dtype != joint.dtype or not np.array_equal(last, joint):
-        gram = joint.conj().T @ joint
-        inv = np.linalg.inv(gram) if well_conditioned(gram, hermitian=True) else None
-        _last_gram = (joint, inv)
-    return joint, inv
-
-
-def compute_phi(G, B):
+def compute_phi(ch: ChannelSet):
     """Per-direction jamming power prices: the diagonal of
     [G^H G - G^H B (B^H B)^{-1} B^H G]^{-1}, which by the block-inverse
     formula is the first Z diagonal entries of ([G B]^H [G B])^{-1}.
 
     This is the cost of placing unit jamming power toward Eve's j-th
-    direction while staying orthogonal to all user channels.
+    direction while staying orthogonal to all user channels. The inverse
+    is the draw's ch.zero_forcing, which build_sigma reads too.
     """
-    inv = _gram_inverse(G, B)[1]
+    inv = ch.zero_forcing[1]
     if inv is None:
-        raise IllConditioned("B^H B is singular to working precision" if not well_conditioned(B.conj().T @ B)
+        raise IllConditioned("B^H B is singular to working precision" if not well_conditioned(ch.B.conj().T @ ch.B)
                              else "jamming Schur complement is singular (need L >= K + Z)")
-    phi = inv.diagonal()[: G.shape[1]].real.copy()
+    phi = inv.diagonal()[: ch.G.shape[1]].real.copy()
     if np.any(phi <= 0):
         raise IllConditioned("non-positive jamming price; degenerate channel draw")
     return phi
-
-
-def _phi_and_gram(G, B):
-    """compute_phi(G, B) and the ([G B], inverse) pair it read, for a Spectrum to carry."""
-    return compute_phi(G, B), _last_gram
 
 
 def make_spectrum(abs_a2, p, sigma2, prices, budget, hi, y0) -> Spectrum:
@@ -159,7 +135,7 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     if np.any(lam < -1e-9 * max(sigma2, float(np.abs(lam).max()))):
         raise ValueError("jamming spectrum outside (0, 1/sigma^2]")
     lam = np.clip(lam, 0.0, None)
-    joint, inv = _gram_inverse(ch.G, ch.B)
+    joint, inv = ch.zero_forcing
     if inv is None:
         raise RankDeficient("[G B] lost full column rank; need L >= K + Z")
     Gamma_H = joint @ (inv[:, : ch.G.shape[1]] * np.sqrt(lam))  # L x Z: [G B] gram^-1 [Lambda^{1/2}; 0]
@@ -178,20 +154,14 @@ def optimal_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> 
     optimal_power) and the prices phi."""
     if params.l < params.k + params.z:
         raise RankDeficient(f"optimal design needs L >= K + Z (L={params.l}, K+Z={params.k + params.z})")
-    phi, gram = _phi_and_gram(ch.G, ch.B)
-    return eq14_spectrum(pre, params, p, phi)._replace(gram=gram)
+    return eq14_spectrum(pre, params, p, compute_phi(ch))
 
 
 def spectrum_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
     """The Design of a solved spectrum (result as spectrum_result gives
     it): spec's powers and the minimal-norm covariance on ch. eta is the
-    program's optimum and iterations its Newton steps. build_sigma
-    reuses the gram inverse that spec carries: a sweep builds every
-    trial's Spectrum before any Design."""
-    global _last_gram
+    program's optimum and iterations its Newton steps."""
     x, eta, status, iterations = result
-    if spec.gram is not None:
-        _last_gram = spec.gram
     _, Sigma = build_sigma(ch, x, params.sigma2)
     return Design(p=spec.p, x=x, Sigma=Sigma, eta=eta, status=status, iterations=iterations)
 

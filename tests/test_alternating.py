@@ -1,10 +1,11 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import kernel
+from cjopt import kernel, numerics
 from cjopt.alternating import (
     AlternatingState,
     _AltWorkspace,
@@ -27,7 +28,7 @@ from cjopt.model import (
 from cjopt.optimal import optimal_spectrum, solve_optimal
 from cjopt.report import make_report
 from reference import cap_free_program_x
-from util import custom_channels, feasible_instance, make_instance
+from util import custom_channels, degenerate_draws, feasible_instance, make_instance
 
 
 def _fresh_state(params, c_tilde, x=None):
@@ -150,6 +151,43 @@ class TestSolveAlternating:
             state, _ = solve_alternating(pre, ch, params)
             counts.append(state.iteration)
         assert max(counts) <= 15
+
+    def test_one_zero_forcing_factor_per_draw(self, monkeypatch):
+        # solve_optimal and solve_alternating on one draw with L >= K + Z
+        # read its cached zero_forcing: [G B]^H [G B] is tested and
+        # inverted once for both.
+        params, ch, pre = feasible_instance(0)
+        joint = np.hstack([ch.G, ch.B])
+        gram = joint.conj().T @ joint
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(M, *args, **kwargs):
+                if np.shape(M) == gram.shape and np.allclose(M, gram, rtol=1e-12, atol=0.0):
+                    calls.append(name)
+                return fn(M, *args, **kwargs)
+            return wrapper
+
+        real = numerics.well_conditioned
+        for name, mod in list(sys.modules.items()):  # every cjopt module that holds it
+            if name.startswith("cjopt") and getattr(mod, "well_conditioned", None) is real:
+                monkeypatch.setattr(mod, "well_conditioned", counted("test", real))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        assert solve_optimal(pre, ch, params).status == "Converged"
+        assert solve_alternating(pre, ch, params)[1].status == "Converged"
+        assert calls == ["test", "inv"]
+
+    def test_degenerate_draws_take_the_warm_start(self):
+        # On the draws where optimal raises, [G B] has no zero-forcing
+        # factor, so the descent starts from the leaky warm start; it
+        # settles at these outer iteration counts and etas.
+        params, ch, pre = feasible_instance(0)
+        want = [(3, 0.012101103182375108), (10, 0.02204273920646635)]
+        for bad, (iterations, eta) in zip(degenerate_draws(ch), want):
+            assert bad.zero_forcing[1] is None
+            _, design = solve_alternating(pre, bad, params)
+            assert (design.status, design.iterations) == ("Converged", iterations)
+            assert design.eta == pytest.approx(eta, rel=1e-9)
 
     def test_infeasible_raises(self):
         params, ch, pre = make_instance(0, tau=1e6, p_tot=1.0)

@@ -43,3 +43,12 @@ def test_a_failed_or_incorrect_run_is_flagged():
                                      BETTER)["sweep_cli"]["all_correct_and_no_failures"]
     assert not bench_pairs.run_ok(_run("change", 1, 8.0, 125.0, correct=False)["result"])
     assert not bench_pairs.run_ok({"correct": False, "failed": None, "error": "exit 1"})
+
+
+def test_src_lines_counts_like_wc(tmp_path):
+    pkg = tmp_path / "src" / "cjopt"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not python\n")
+    assert bench_pairs.src_lines(tmp_path) == 2

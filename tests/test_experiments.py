@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import experiments, feasibility, kernel, optimal
+from cjopt import experiments, feasibility, kernel, model
 from cjopt.errors import CjoptError, Infeasible, NumericalFailure
 from cjopt.experiments import (
     SOLVER_TABLE,
@@ -214,17 +214,18 @@ class TestRunSweep:
     def test_one_gram_inverse_per_feasible_trial(self, monkeypatch):
         # optimal and fixed_split price a trial's draw with compute_phi in
         # the first stage and build its Sigma in the last, after every
-        # other trial's first stage: each Spectrum carries the inverse of
-        # [G B]^H [G B] from one stage to the other, so a draw tests and
-        # inverts its gram once.
+        # other trial's first stage: both read the draw's cached
+        # zero_forcing, so a draw tests and inverts [G B]^H [G B] once.
+        # The precoder's F^H F test, also in model, is not Hermitian.
         tests = []
-        real = optimal.well_conditioned
-        monkeypatch.setattr(optimal, "well_conditioned", lambda *a, **kw: tests.append(1) or real(*a, **kw))
+        real = model.well_conditioned
+        monkeypatch.setattr(model, "well_conditioned",
+                            lambda M, hermitian=False: tests.append(hermitian) or real(M, hermitian))
         rows = run_sweep(sweep_cli_spec())
         feasible = {r.trial_seed for r in rows if r.solver == "optimal" and r.feasible}
         assert len(feasible) >= 30
         assert all(r.feasible for r in rows if r.trial_seed in feasible and r.solver != "fixed_split")
-        assert len(tests) == len(feasible)
+        assert tests.count(True) == len(feasible)
 
     def test_failed_program_keeps_its_own_row(self, monkeypatch):
         # A program whose kernel solve fails reports NumericalFailure in its

@@ -262,6 +262,32 @@ def test_phase_one_finds_interior_point_of_random_programs(seed, n):
     assert np.all(_direct_values(prog.constraints, phase_one(prog)) < 0.0)
 
 
+def test_phase_one_cut_short_claims_no_infeasibility(monkeypatch):
+    # This program has an interior point; a phase-one solve that the step
+    # limit stops before it reaches one proves nothing, so it may not
+    # raise InfeasibleProgram.
+    monkeypatch.setattr(kernel, "_MAX_STEPS", 4)
+    prog, v = _random_program(np.random.default_rng(0), 5)
+    assert np.all(_direct_values(prog.constraints, v) < 0.0)
+    with pytest.raises(NumericalFailure, match="phase one stopped"):
+        phase_one(prog)
+
+
+@pytest.mark.parametrize("seed", [1374, 1436])
+@pytest.mark.parametrize("gap_ref", [0.0, 1.0])
+def test_decrement_is_recomputed_after_t_rises(seed, gap_ref):
+    # After t rises at a centered point, the next line search's decrease
+    # test reads the decrement at the new t. With the old t's decrement
+    # these programs stop with MaxIterations after 2-3 steps. Alone they
+    # run on _lone, and stacked with a copy on _path.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    prog, v = _random_program(rng, n)
+    prog = replace(prog, objective=_bounded_objective(rng, n), strictly_feasible_point=v)
+    for sol in [solve(prog, gap_ref), *solve_batch([prog, prog], gap_ref)]:
+        assert sol.status == "Converged"
+
+
 def _closed_form_program():
     # min eta s.t. 2 x <= eta, 3 / x <= 1.5, 0 < x <= 10  ->  x* = 2.
     return ConvexProgram(
@@ -350,7 +376,7 @@ class TestPaperSizeSolves:
         assert len(draws) == 24
         for params, ch, pre, d in draws:
             assert d.status == "Converged"
-            lb = eq14_dual_bound(np.abs(pre.A) ** 2, d.p, compute_phi(ch.G, ch.B), params.sigma2,
+            lb = eq14_dual_bound(np.abs(pre.A) ** 2, d.p, compute_phi(ch), params.sigma2,
                                  params.p_tot, d.x, d.eta)
             assert -1e-9 * d.eta <= d.eta - lb <= 1e-6 * d.eta
 

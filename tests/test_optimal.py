@@ -18,7 +18,7 @@ from cjopt.optimal import (
     spectrum_result,
 )
 from reference import zero_forcing_eta_z1
-from util import custom_channels, feasible_instance, make_instance
+from util import custom_channels, degenerate_draws, feasible_instance, make_instance
 
 
 def _orthogonal_g_b(seed, l, z, k):
@@ -34,12 +34,13 @@ def _orthogonal_g_b(seed, l, z, k):
 class TestComputePhi:
     def test_orthogonal_blocks_unit_price(self):
         G, B = _orthogonal_g_b(0, l=6, z=2, k=3)
-        assert np.allclose(compute_phi(G, B), np.ones(2), atol=1e-10)
+        ch = custom_channels(np.eye(4, 3), np.eye(4, 2), B, G)
+        assert np.allclose(compute_phi(ch), np.ones(2), atol=1e-10)
 
     def test_homogeneity(self):
         _, ch, _ = make_instance(1)
-        phi = compute_phi(ch.G, ch.B)
-        phi_scaled = compute_phi(3.0 * ch.G, ch.B)
+        phi = compute_phi(ch)
+        phi_scaled = compute_phi(replace(ch, G=3.0 * ch.G))
         assert np.allclose(phi_scaled, phi / 9.0, rtol=1e-9)
 
     def test_matches_explicit_schur_inverse(self):
@@ -47,14 +48,14 @@ class TestComputePhi:
         G, B = ch.G, ch.B
         schur = G.conj().T @ G - G.conj().T @ B @ np.linalg.inv(B.conj().T @ B) @ B.conj().T @ G
         want = np.diag(np.linalg.inv(schur)).real
-        assert np.allclose(compute_phi(G, B), want, rtol=1e-9)
+        assert np.allclose(compute_phi(ch), want, rtol=1e-9)
 
 
 class TestSolveJammingSpectrum:
     def test_scalar_closed_form(self):
         params, ch, pre = feasible_instance(0, n=4, k=1, l=2, z=1, p_tot=50.0)
         p = optimal_power(pre, params)
-        phi = compute_phi(ch.G, ch.B)
+        phi = compute_phi(ch)
         x, eta, status, _ = solve_eq14(eq14_spectrum(pre, params, p, phi))
         x_star = min(phi[0] / (params.p_tot + params.sigma2 * phi[0] - p[0]),
                      1.0 / params.sigma2)
@@ -68,7 +69,7 @@ class TestSolveJammingSpectrum:
         p = optimal_power(pre, params)
         tight = SystemParams(n=params.n, k=params.k, l=params.l, z=params.z,
                              sigma2=params.sigma2, tau=params.tau, p_tot=float(p.sum()))
-        x, eta, status, _ = solve_eq14(eq14_spectrum(pre, tight, p, compute_phi(ch.G, ch.B)))
+        x, eta, status, _ = solve_eq14(eq14_spectrum(pre, tight, p, compute_phi(ch)))
         assert status == "NoJammingPower"
         assert np.allclose(x, 1.0 / params.sigma2)
         want = float(np.max(p * np.sum(np.abs(pre.A) ** 2, axis=0) / params.sigma2))
@@ -96,7 +97,7 @@ class TestSolveJammingSpectrum:
                 specs.append(optimal_spectrum(pre, ch, params, optimal_power(pre, params)))
         params, ch, pre = feasible_instance(1)
         p = optimal_power(pre, params)
-        specs.insert(2, eq14_spectrum(pre, replace(params, p_tot=float(p.sum())), p, compute_phi(ch.G, ch.B)))
+        specs.insert(2, eq14_spectrum(pre, replace(params, p_tot=float(p.sum())), p, compute_phi(ch)))
         assert len({spec.abs_a2.shape for spec in specs}) == 2
         assert [spec.program is None for spec in specs] == [False] * 2 + [True] + [False] * 4
         sols = iter(kernel.solve_batch([spec.program for spec in specs if spec.program is not None], gap_ref=0.0))
@@ -127,7 +128,7 @@ class TestBuildSigma:
         # tr(Sigma) equals sum_j phi_j * lambda_j for the minimal-norm factor.
         for seed in range(5):
             params, ch, _ = make_instance(seed, n=6, k=2, l=7, z=2)
-            phi = compute_phi(ch.G, ch.B)
+            phi = compute_phi(ch)
             x = np.array([0.3, 0.7]) / params.sigma2
             lam = 1.0 / x - params.sigma2
             _, Sigma = build_sigma(ch, x, params.sigma2)
@@ -186,24 +187,16 @@ class TestSolveOptimal:
         # IllConditioned, build_sigma RankDeficient, and solve_optimal the
         # first that fires (RankDeficient straight away when L < K + Z).
         params, ch, pre = feasible_instance(0)  # K = 3, Z = 2, L = 6
-        eye = np.eye(params.l, dtype=complex)
-        draws = [
-            # Collinear columns of B.
-            replace(ch, B=np.column_stack([ch.B[:, 0], 2.0 * ch.B[:, 0], ch.B[:, 2]])),
-            # G inside span(B), with integer entries so that the Schur
-            # complement is exactly zero in floating point.
-            replace(ch, B=eye[:, :3], G=eye[:, :3] @ np.array([[1, 2j], [0, 1], [3, -1]])),
-        ]
-        for bad in draws:
+        for bad in degenerate_draws(ch):
             with pytest.raises(IllConditioned):
-                compute_phi(bad.G, bad.B)
+                compute_phi(bad)
             with pytest.raises(RankDeficient):
                 build_sigma(bad, np.full(params.z, 0.5), params.sigma2)
             with pytest.raises(IllConditioned):
                 solve_optimal(pre, bad, params)
         params, ch, pre = feasible_instance(0, l=4)
         with pytest.raises(IllConditioned):
-            compute_phi(ch.G, ch.B)
+            compute_phi(ch)
         with pytest.raises(RankDeficient):
             build_sigma(ch, np.full(params.z, 0.5), params.sigma2)
         with pytest.raises(RankDeficient):

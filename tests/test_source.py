@@ -21,6 +21,17 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
+def test_no_global_statements():
+    # Module state written from inside functions hides what a result
+    # depends on; what a draw shares lives on the draw (ChannelSet).
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"global or nonlocal statements in src: {found}"
+
+
 def test_benchmark_layers_resolve():
     # The benchmark wraps these functions by (module, attribute) at run
     # time; a rename in src/ would silently drop its spans.

@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from cjopt.experiments import SweepSpec
@@ -27,6 +29,16 @@ def feasible_instance(seed, **kw):
         if check_existence(pre, params).feasible:
             return params, ch, pre
         seed += 1
+
+
+def degenerate_draws(ch):
+    """Two draws from ch (L = 6, K = 3, Z = 2) on which [G B] loses full
+    column rank: B with collinear columns, and G inside span(B), with
+    integer entries so that the Schur complement is exactly zero in
+    floating point."""
+    eye = np.eye(6, dtype=complex)
+    return [replace(ch, B=np.column_stack([ch.B[:, 0], 2.0 * ch.B[:, 0], ch.B[:, 2]])),
+            replace(ch, B=eye[:, :3], G=eye[:, :3] @ np.array([[1, 2j], [0, 1], [3, -1]]))]
 
 
 def sweep_cli_spec():

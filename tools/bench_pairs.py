@@ -9,8 +9,9 @@ first on odd pairs, the change first on even ones. BENCH_<N>.json gets
 every run's JSON line and, per workload and end-to-end metric, each side's
 quartiles, the median pair ratio (change / parent), the difference of the
 medians against the parent's IQR, and the pairs each side won (the
-direction of "better" comes from BENCHMARK.json). The exit status is 1 if
-any run did not report `correct: true` with `failed: 0`.
+direction of "better" comes from BENCHMARK.json), and each checkout's size,
+the `wc -l src/cjopt/*.py` total. The exit status is 1 if any run did not
+report `correct: true` with `failed: 0`.
 """
 
 import argparse
@@ -40,6 +41,11 @@ def run_once(checkout, workload, seed, seconds):
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "failed": None, "error": f"exit {proc.returncode}: {proc.stderr[-2000:]}"}
     return result, wall
+
+
+def src_lines(checkout):
+    """The line count of checkout's src/cjopt/*.py, as the total of `wc -l` gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(checkout).glob("src/cjopt/*.py"))
 
 
 def run_ok(result):
@@ -100,6 +106,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     out = args.out_dir / f"BENCH_{args.pr}.json"
+    size = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     runs = []
     for workload in args.workloads:
         for pair in range(1, args.pairs + 1):
@@ -117,6 +124,7 @@ def main(argv=None):
                            f"{args.seconds} --trace 0",
                 "order": "pair P uses seed P on both sides; odd pairs ran the parent first, even pairs the "
                          "change first (position 0 ran first); all runs were sequential",
+                "src_lines": size,
                 "summary": summarize(runs, better),
                 "runs": runs,
             }, indent=1) + "\n")
