@@ -22,16 +22,15 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from . import kernel
-from .errors import Infeasible, NonMonotone, RankDeficient
-from .feasibility import delta_inverse_neg, optimal_power
+from .errors import Infeasible, NonMonotone
+from .feasibility import optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
 from .optimal import Spectrum, make_spectrum, spectrum_result
 from .report import Design
 
-__all__ = ["AlternatingState", "gamma_nullspace_param", "solve_alternating", "b_zero_program", "b_zero_design",
-           "solve_b_zero"]
+__all__ = ["AlternatingState", "solve_alternating", "b_zero_program", "b_zero_design", "solve_b_zero"]
 
 _X_FLOOR = 1e-12
 
@@ -46,23 +45,6 @@ class AlternatingState:
     iteration: int
 
 
-def gamma_nullspace_param(G):
-    """Particular solution and null-space basis for G^H Gamma^H = I.
-
-    Returns (particular, basis): particular = G (G^H G)^{-1} meets the
-    equality, and basis has orthonormal columns spanning null(G^H), so
-    Gamma^H = particular diag(x) + basis @ W gives G^H Gamma^H = diag(x)
-    for arbitrary W. Raises RankDeficient if G loses full column rank.
-    """
-    G = np.asarray(G, dtype=np.complex128)
-    Z = G.shape[1]
-    U, s, _ = np.linalg.svd(G, full_matrices=True)
-    if s.size < Z or s.min() <= 1e-12 * max(s.max(), 1e-300):
-        raise RankDeficient("G is not full column rank")
-    particular = G @ np.linalg.solve(G.conj().T @ G, np.eye(Z, dtype=np.complex128))
-    return particular, U[:, Z:]
-
-
 class _AltWorkspace:
     """Instance-constant maps shared by both block programs."""
 
@@ -72,9 +54,9 @@ class _AltWorkspace:
         self.K = params.k
         self.Lz = params.l - params.z
         self.sigma2 = params.sigma2
-        self.Mdelta = delta_inverse_neg(pre.Delta)  # p = Mdelta @ (c + sigma2 * 1)
+        self.Mdelta = pre.qos_inverse  # p = Mdelta @ (c + sigma2 * 1)
         self.abs_a2 = np.abs(pre.A) ** 2  # Z x K
-        self.P, self.N = gamma_nullspace_param(ch.G)  # G (G^H G)^{-1}: L x Z; L x (L - Z)
+        self.P, self.N = ch.eve_nullspace  # G (G^H G)^{-1}: L x Z; L x (L - Z)
         self.pj2 = np.sum(np.abs(self.P) ** 2, axis=0)
         self.R = self.P.conj().T @ ch.B  # Z x K
         self.Nb = self.N.conj().T @ ch.B  # (L - Z) x K
@@ -397,10 +379,11 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
                          iterations=state.iteration)
 
 
-def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> Spectrum:
+def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Spectrum:
     """b_zero's first step: the cap-free spectrum program on the headroom
-    left by the QoS powers p (those of optimal_power)."""
-    P, _ = gamma_nullspace_param(ch.G)
+    left by the QoS powers p of optimal_power."""
+    p = optimal_power(pre, params)
+    P, _ = ch.eve_nullspace
     budget = params.p_tot - float(np.sum(np.abs(p)))
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
@@ -413,7 +396,7 @@ def b_zero_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) 
     the high-power block objective."""
     y, eta, status, _ = result
     x = 1.0 / np.sqrt(y)
-    gamma_h = gamma_nullspace_param(ch.G)[0] * x
+    gamma_h = ch.eve_nullspace[0] * x
     return Design(p=spec.p, x=x, Sigma=gamma_h @ gamma_h.conj().T, eta=eta, status=status, iterations=0)
 
 
@@ -421,5 +404,5 @@ def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """High-power optimal design with the jammer-to-users channel treated
     as exactly zero: leaks vanish, so the minimal-norm factor at the
     optimal spectrum is the answer: b_zero_program and b_zero_design around one solve."""
-    spec = b_zero_program(pre, ch, params, optimal_power(pre, params))
+    spec = b_zero_program(pre, ch, params)
     return b_zero_design(ch, params, spec, spectrum_result(spec, kernel.solve(spec.program, gap_ref=0.0)))

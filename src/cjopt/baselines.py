@@ -18,10 +18,11 @@ __all__ = ["fixed_split_spectrum", "fixed_split_design", "solve_fixed_split", "n
            "l_inf_spectrum", "l_inf_design", "l_infinity_limit"]
 
 
-def fixed_split_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p, split=0.5) -> Spectrum:
-    """Fixed power split: the transmitter keeps the minimal QoS allocation
-    p (which must fit in split * P_tot) and the jammer spends the remaining
-    (1 - split) * P_tot regardless of what the transmitter left unused."""
+def fixed_split_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, split=0.5) -> Spectrum:
+    """Fixed power split: the transmitter keeps the QoS powers p of
+    optimal_power (which must fit in split * P_tot) and the jammer spends
+    the remaining (1 - split) * P_tot regardless of what p left unused."""
+    p = optimal_power(pre, params)
     if not 0.0 < split < 1.0:
         raise ValueError("split must lie in (0, 1)")
     bs_budget = split * params.p_tot
@@ -42,7 +43,7 @@ def fixed_split_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, res
 
 def solve_fixed_split(pre: Precoder, ch: ChannelSet, params: SystemParams, split=0.5) -> Design:
     """fixed_split_spectrum and fixed_split_design around solve_eq14."""
-    spec = fixed_split_spectrum(pre, ch, params, optimal_power(pre, params), split)
+    spec = fixed_split_spectrum(pre, ch, params, split)
     return fixed_split_design(ch, params, spec, solve_eq14(spec))
 
 
@@ -56,10 +57,11 @@ def no_jamming_report(pre: Precoder, ch: ChannelSet, params: SystemParams) -> De
                   status="Converged", iterations=0)
 
 
-def l_inf_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> Spectrum:
-    """Large-jammer-array limit of the achievable eta at the QoS powers p:
-    as the jammer grows its channels decorrelate and the per-direction
-    jamming price tends to 1 / ||g_j||^2."""
+def l_inf_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Spectrum:
+    """Large-jammer-array limit of the achievable eta at the QoS powers p
+    of optimal_power: as the jammer grows its channels decorrelate and the
+    per-direction jamming price tends to 1 / ||g_j||^2."""
+    p = optimal_power(pre, params)
     phi = 1.0 / np.sum(np.abs(ch.G) ** 2, axis=0)
     headroom = params.p_tot - float(p.sum())
     return priced_spectrum(pre, params, p, phi, headroom, headroom + params.sigma2 * float(phi.sum()))
@@ -75,5 +77,5 @@ def l_inf_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -
 
 def l_infinity_limit(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
     """l_inf_spectrum and l_inf_design around solve_eq14."""
-    spec = l_inf_spectrum(pre, ch, params, optimal_power(pre, params))
+    spec = l_inf_spectrum(pre, ch, params)
     return l_inf_design(ch, params, spec, solve_eq14(spec))

@@ -56,19 +56,18 @@ SOLVERS = tuple(SOLVER_TABLE)
 
 # The entries of SOLVER_TABLE that are one jamming-spectrum program
 # between two steps: name -> (its Spectrum, whose program is None when
-# there is nothing to solve, from (pre, ch_design, params, p) with p the
-# QoS powers of the existence test; the Design from (ch_design, params,
-# spec, result) with result as optimal.spectrum_result gives it). The
-# steps are looked up by module-level name at call time, like
-# SOLVER_TABLE.
+# there is nothing to solve, from (pre, ch_design, params) like a
+# SOLVER_TABLE entry; the Design from (ch_design, params, spec, result)
+# with result as optimal.spectrum_result gives it). The steps are looked
+# up by module-level name at call time, like SOLVER_TABLE.
 SPECTRUM_TABLE = {
-    "optimal": (lambda pre, ch, params, p: optimal_spectrum(pre, ch, params, p),
+    "optimal": (lambda pre, ch, params: optimal_spectrum(pre, ch, params),
                 lambda ch, params, spec, result: spectrum_design(ch, params, spec, result)),
-    "fixed_split": (lambda pre, ch, params, p: fixed_split_spectrum(pre, ch, params, p),
+    "fixed_split": (lambda pre, ch, params: fixed_split_spectrum(pre, ch, params),
                     lambda ch, params, spec, result: fixed_split_design(ch, params, spec, result)),
-    "b_zero": (lambda pre, ch, params, p: b_zero_program(pre, ch, params, p),
+    "b_zero": (lambda pre, ch, params: b_zero_program(pre, ch, params),
                lambda ch, params, spec, result: b_zero_design(ch, params, spec, result)),
-    "l_inf_limit": (lambda pre, ch, params, p: l_inf_spectrum(pre, ch, params, p),
+    "l_inf_limit": (lambda pre, ch, params: l_inf_spectrum(pre, ch, params),
                     lambda ch, params, spec, result: l_inf_design(ch, params, spec, result)),
 }
 
@@ -143,16 +142,15 @@ def _apply_axis(spec: SweepSpec, value):
 
 
 def _draw(spec: SweepSpec, params, gain, ts):
-    """(pre, ch, ch_design, p) of the trial with seed ts, p the QoS powers
-    of its existence test, or the status of its error row when the draw or
-    the existence test fails."""
+    """(pre, ch, ch_design) of the trial with seed ts, or the status of its
+    error row when the draw or the existence test fails. The existence
+    test leaves pre.qos_inverse cached for every solver of the trial."""
     try:
         ch = generate_rayleigh(params, gain_db_b=gain, rng_seed=ts)
         pre = channel_inversion_precoder(ch, params.tau)
-        feas = check_existence(pre, params)
-        if not feas.feasible:
+        if not check_existence(pre, params).feasible:
             return "Infeasible"
-        return pre, ch, perturb_csi(ch, spec.xi2, rng_seed=ts) if spec.xi2 else ch, feas.p_candidate
+        return pre, ch, perturb_csi(ch, spec.xi2, rng_seed=ts) if spec.xi2 else ch
     except (CjoptError, np.linalg.LinAlgError) as exc:
         return type(exc).__name__
 
@@ -186,9 +184,9 @@ def run_sweep(spec: SweepSpec):
     """One SweepRow per (axis value, solver, trial), ordered by
     (axis value, solver, trial seed). The sweep runs in three stages:
 
-    1. Every trial draws its channels and runs the existence test once.
-       The solvers of SPECTRUM_TABLE build their program at its QoS
-       powers, the others design and report at once.
+    1. Every trial draws its channels and runs the existence test. The
+       solvers of SPECTRUM_TABLE build their program, the others design
+       and report at once, all on the factors cached on the draw.
     2. One kernel.solve_batch call solves the programs of all trials and
        solvers.
     3. Each solved program becomes its Design and report.
@@ -207,10 +205,10 @@ def run_sweep(spec: SweepSpec):
                 if isinstance(draw, str):
                     rows.append(_row(spec, value, solver, ts, status=draw))
                     continue
-                pre, ch, ch_design, p = draw
+                pre, ch, ch_design = draw
                 try:
                     if solver in SPECTRUM_TABLE:
-                        spectrum = SPECTRUM_TABLE[solver][0](pre, ch_design, params, p)
+                        spectrum = SPECTRUM_TABLE[solver][0](pre, ch_design, params)
                         programs.append(_Program(value, solver, ts, params, pre, ch, ch_design, spectrum))
                     else:
                         rows.append(_row(spec, value, solver, ts, run_solver(solver, pre, ch, ch_design, params)))

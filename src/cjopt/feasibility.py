@@ -5,11 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, SingularDelta
+from .errors import Infeasible
 from .model import Precoder, SystemParams
-from .numerics import well_conditioned
 
-__all__ = ["FeasibilityReport", "delta_inverse_neg", "check_existence", "optimal_power"]
+__all__ = ["FeasibilityReport", "check_existence", "optimal_power"]
 
 _COMPONENT_TOL = 1e-12
 
@@ -21,20 +20,11 @@ class FeasibilityReport:
     p_norm1: float
 
 
-def delta_inverse_neg(Delta):
-    """Rows of -(Delta^H)^{-1}; raises SingularDelta if Delta is too close
-    to singular for any power vector to meet the QoS thresholds."""
-    if not well_conditioned(Delta):
-        raise SingularDelta("QoS coupling matrix is singular (precoder defect)")
-    return -np.linalg.inv(Delta.conj().T).real
-
-
 def check_existence(pre: Precoder, params: SystemParams) -> FeasibilityReport:
     """A feasible design exists iff the equality power vector
     p = -sigma^2 (Delta^H)^{-1} 1 is componentwise nonnegative and fits
-    in the budget."""
-    M = delta_inverse_neg(pre.Delta)
-    p = params.sigma2 * (M @ np.ones(params.k))
+    in the budget. Raises SingularDelta (from pre.qos_inverse)."""
+    p = params.sigma2 * (pre.qos_inverse @ np.ones(params.k))
     p = np.where((p < 0) & (p > -_COMPONENT_TOL), 0.0, p)
     norm1 = float(np.sum(np.abs(p)))
     feasible = bool(np.all(p >= 0.0) and norm1 <= params.p_tot * (1.0 + _COMPONENT_TOL))

@@ -10,8 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IllConditioned
-from .numerics import well_conditioned
+from .errors import IllConditioned, SingularDelta
+from .numerics import gamma_nullspace_param, well_conditioned
 
 __all__ = [
     "SystemParams",
@@ -69,8 +69,8 @@ class ChannelSet:
 
     F: N x K (BS -> users), H: N x Z (BS -> Eve),
     B: L x K (jammer -> users), G: L x Z (jammer -> Eve).
-    The arrays are never written in place (replace gives a new draw), so
-    what a draw caches from them stays valid.
+    The arrays are never written in place (replace gives a new draw), nor
+    are the cached zero_forcing and eve_nullspace, so the caches stay valid.
     """
 
     F: np.ndarray
@@ -87,6 +87,11 @@ class ChannelSet:
         joint = np.hstack([self.G, self.B])
         gram = joint.conj().T @ joint
         return joint, np.linalg.inv(gram) if well_conditioned(gram, hermitian=True) else None
+
+    @cached_property
+    def eve_nullspace(self):
+        """(P, N) = gamma_nullspace_param(G), computed at its first use."""
+        return gamma_nullspace_param(self.G)
 
     def validate(self, params: SystemParams):
         n, k, l, z = params.n, params.k, params.l, params.z
@@ -108,11 +113,19 @@ class Precoder:
     A: Z x K, column k is H^H u_k (Eve-side effective vector per stream).
     Delta: K x K QoS coupling matrix; column k has -|f_k^H u_k|^2 / tau on
     the diagonal and |f_k^H u_i|^2 off the diagonal.
+    These arrays and the cached qos_inverse are never written in place.
     """
 
     U: np.ndarray
     A: np.ndarray
     Delta: np.ndarray
+
+    @cached_property
+    def qos_inverse(self):
+        """Rows of -(Delta^H)^{-1}, at first use; SingularDelta unless Delta is well_conditioned."""
+        if not well_conditioned(self.Delta):
+            raise SingularDelta("QoS coupling matrix is singular (precoder defect)")
+        return -np.linalg.inv(self.Delta.conj().T).real
 
 
 def _rng(seed, stream=0):

@@ -7,7 +7,7 @@ conditioning guards that the solvers rely on.
 
 import numpy as np
 
-from .errors import IllConditioned, NotHermitian
+from .errors import IllConditioned, NotHermitian, RankDeficient
 
 HERMITIAN_RTOL = 1e-12
 COND_LIMIT = 1e12
@@ -49,3 +49,17 @@ def hermitian_solve(A, B):
     if not well_conditioned(A):
         raise IllConditioned("Hermitian solve: condition number exceeds 1e12")
     return np.linalg.solve(A, B)
+
+
+def gamma_nullspace_param(G):
+    """(particular, basis) for G^H Gamma^H = I: particular = G (G^H G)^{-1}
+    meets it, and basis has orthonormal columns spanning null(G^H), so
+    Gamma^H = particular diag(x) + basis @ W gives G^H Gamma^H = diag(x)
+    for arbitrary W. Raises RankDeficient if G loses full column rank."""
+    G = np.asarray(G, dtype=np.complex128)
+    Z = G.shape[1]
+    U, s, _ = np.linalg.svd(G, full_matrices=True)
+    if s.size < Z or s.min() <= 1e-12 * max(s.max(), 1e-300):
+        raise RankDeficient("G is not full column rank")
+    particular = G @ np.linalg.solve(G.conj().T @ G, np.eye(Z, dtype=np.complex128))
+    return particular, U[:, Z:]

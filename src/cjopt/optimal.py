@@ -149,9 +149,9 @@ def build_sigma(ch: ChannelSet, x, sigma2):
     return Gamma_H.conj().T, Sigma
 
 
-def optimal_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams, p) -> Spectrum:
-    """The optimal design's first step: eq14 at the QoS powers p (those of
-    optimal_power) and the prices phi."""
+def optimal_spectrum(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Spectrum:
+    """The optimal design's first step: eq14 at optimal_power's QoS powers and the prices phi."""
+    p = optimal_power(pre, params)
     if params.l < params.k + params.z:
         raise RankDeficient(f"optimal design needs L >= K + Z (L={params.l}, K+Z={params.k + params.z})")
     return eq14_spectrum(pre, params, p, compute_phi(ch))
@@ -171,5 +171,5 @@ def solve_optimal(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design
     covariance reconstruction. eta is the eq14 optimum and iterations its
     Newton steps. The design is the best zero-forcing one (B^H Sigma = 0); one
     that leaks into the users can beat it at low power, less as P_tot grows."""
-    spec = optimal_spectrum(pre, ch, params, optimal_power(pre, params))
+    spec = optimal_spectrum(pre, ch, params)
     return spectrum_design(ch, params, spec, solve_eq14(spec))

@@ -18,7 +18,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .feasibility import delta_inverse_neg
 from .model import ChannelSet, Precoder, SystemParams
 
 __all__ = ["OracleResult", "grid_oracle"]
@@ -96,7 +95,7 @@ def grid_oracle(pre: Precoder, ch: ChannelSet, params: SystemParams,
     span = np.hstack([g[:, None], ch.B])
     Q, _ = np.linalg.qr(span)
     m = Q.shape[1]
-    M = delta_inverse_neg(pre.Delta)  # p = M @ (leak + sigma2)
+    M = pre.qos_inverse  # p = M @ (leak + sigma2)
     abs_a2 = np.abs(pre.A[0, :]) ** 2  # K
     bq = ch.B.conj().T @ Q  # K x m
     gq = g.conj() @ Q  # m

@@ -1,11 +1,10 @@
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import kernel, numerics
+from cjopt import kernel
 from cjopt.alternating import (
     AlternatingState,
     _AltWorkspace,
@@ -28,7 +27,7 @@ from cjopt.model import (
 from cjopt.optimal import optimal_spectrum, solve_optimal
 from cjopt.report import make_report
 from reference import cap_free_program_x
-from util import custom_channels, degenerate_draws, feasible_instance, make_instance
+from util import custom_channels, degenerate_draws, factor_calls, feasible_instance, make_instance
 
 
 def _fresh_state(params, c_tilde, x=None):
@@ -155,27 +154,24 @@ class TestSolveAlternating:
     def test_one_zero_forcing_factor_per_draw(self, monkeypatch):
         # solve_optimal and solve_alternating on one draw with L >= K + Z
         # read its cached zero_forcing: [G B]^H [G B] is tested and
-        # inverted once for both.
+        # inverted once for both. The draw's existence test has already
+        # inverted Delta, and alternating takes the one SVD of G.
         params, ch, pre = feasible_instance(0)
         joint = np.hstack([ch.G, ch.B])
         gram = joint.conj().T @ joint
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(M, *args, **kwargs):
-                if np.shape(M) == gram.shape and np.allclose(M, gram, rtol=1e-12, atol=0.0):
-                    calls.append(name)
-                return fn(M, *args, **kwargs)
-            return wrapper
-
-        real = numerics.well_conditioned
-        for name, mod in list(sys.modules.items()):  # every cjopt module that holds it
-            if name.startswith("cjopt") and getattr(mod, "well_conditioned", None) is real:
-                monkeypatch.setattr(mod, "well_conditioned", counted("test", real))
-        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        calls = factor_calls(monkeypatch, gram)
         assert solve_optimal(pre, ch, params).status == "Converged"
         assert solve_alternating(pre, ch, params)[1].status == "Converged"
-        assert calls == ["test", "inv"]
+        assert calls == ["test", "inv", "svd"]
+        # On a draw made inside the counted window (the same one: seed 0 is
+        # feasible), the existence test, solve_alternating and solve_b_zero
+        # invert Delta once and take one SVD of G between them.
+        calls.clear()
+        params, ch, pre = make_instance(0)
+        assert check_existence(pre, params).feasible
+        assert solve_alternating(pre, ch, params)[1].status == "Converged"
+        assert solve_b_zero(pre, ch, params).status == "Converged"
+        assert calls == ["delta", "svd", "test", "inv"]
 
     def test_degenerate_draws_take_the_warm_start(self):
         # On the draws where optimal raises, [G B] has no zero-forcing
@@ -237,7 +233,7 @@ class TestSolveBZero:
         assert -1e-12 < raw[2] < 0.0
         feas = check_existence(pre, params)
         assert feas.feasible and feas.p_candidate[2] == 0.0
-        item = b_zero_program(pre, ch, params, feas.p_candidate)
+        item = b_zero_program(pre, ch, params)
         assert np.array_equal(item.p, feas.p_candidate)
         coeffs = np.concatenate([c.coeff for c in item.program.constraints if isinstance(c, ReciprocalSum)])
         assert coeffs.min() >= 0.0
@@ -258,9 +254,8 @@ class TestSolveBZero:
         # In y = 1/x^2 the cap-free program is eq14's program at other
         # prices, so a sweep stacks both in one structure.
         params, ch, pre = feasible_instance(0)
-        p = optimal_power(pre, params)
-        keys = [_compile(spec.program)[1] for spec in (b_zero_program(pre, ch, params, p),
-                                                      optimal_spectrum(pre, ch, params, p))]
+        keys = [_compile(spec.program)[1] for spec in (b_zero_program(pre, ch, params),
+                                                      optimal_spectrum(pre, ch, params))]
         assert keys[0] == keys[1]
 
 

@@ -17,7 +17,8 @@ def _run(side, pair, ms, rate, correct=True, failed=0):
             "result": {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}}
 
 
-BETTER = {"solve_ms_p50": "lower", "trials_per_s": "higher"}
+BETTER = {"solve_ms_p50": "lower", "trials_per_s": "higher", "setup_s": "lower"}
+BOUNDS = {"solve_ms_p50": 0.25, "trials_per_s": 0.25, "setup_s": 0.25}
 # Pairs 1-4: the change is faster in pairs 1-3 and ties pair 4.
 RUNS = [_run("parent", 1, 10.0, 100.0), _run("change", 1, 8.0, 125.0),
         _run("change", 2, 9.0, 110.0), _run("parent", 2, 12.0, 80.0),
@@ -26,8 +27,8 @@ RUNS = [_run("parent", 1, 10.0, 100.0), _run("change", 1, 8.0, 125.0),
 
 
 def test_summary_of_fixed_records():
-    summary = bench_pairs.summarize(RUNS, BETTER)["sweep_cli"]
-    assert summary["pairs"] == 4 and summary["all_correct_and_no_failures"]
+    summary = bench_pairs.summarize(RUNS, BETTER, BOUNDS)["sweep_cli"]
+    assert summary["pairs"] == 4 and summary["all_correct_and_no_failures"] and summary["regressed"] == []
     ms = summary["metrics"]["solve_ms_p50"]
     assert ms["parent_q1_median_q3"] == pytest.approx([10.0, 10.5, 11.25])
     assert ms["change_q1_median_q3"] == pytest.approx([8.75, 9.5, 10.0])
@@ -40,9 +41,31 @@ def test_summary_of_fixed_records():
 
 def test_a_failed_or_incorrect_run_is_flagged():
     assert not bench_pairs.summarize(RUNS[:-1] + [_run("parent", 4, 10.0, 100.0, failed=1)],
-                                     BETTER)["sweep_cli"]["all_correct_and_no_failures"]
+                                     BETTER, BOUNDS)["sweep_cli"]["all_correct_and_no_failures"]
     assert not bench_pairs.run_ok(_run("change", 1, 8.0, 125.0, correct=False)["result"])
     assert not bench_pairs.run_ok({"correct": False, "failed": None, "error": "exit 1"})
+
+
+def test_a_median_worse_than_its_bound_is_flagged():
+    # An alternating_leaky series: setup_s 0.225 -> 0.304 s (+35%)
+    # breaks its 25% bound; solve_ms_p50 37.6 -> 40.9 ms (+8.8%) does not,
+    # nor does trials_per_s 31 -> 24 (-22.6%, higher is better).
+    values = {"parent": {"solve_ms_p50": [37.0, 37.6, 38.0], "trials_per_s": [30.0, 31.0, 32.0],
+                         "setup_s": [0.22, 0.225, 0.23]},
+              "change": {"solve_ms_p50": [40.5, 40.9, 41.0], "trials_per_s": [23.0, 24.0, 25.0],
+                         "setup_s": [0.30, 0.304, 0.31]}}
+    runs = [{"workload": "alternating_leaky", "side": side, "pair": pair + 1,
+             "result": {"correct": True, "failed": 0,
+                        "metrics": {name: {"value": v[pair]} for name, v in metrics.items()}}}
+            for side, metrics in values.items() for pair in range(3)]
+    summary = bench_pairs.summarize(runs, BETTER, BOUNDS)["alternating_leaky"]
+    assert summary["regressed"] == ["setup_s"]
+    assert [summary["metrics"][name]["regressed"] for name in BETTER] == [False, False, True]
+    # The bound is relative to the parent's median: +35% passes a 0.36
+    # bound, and -22.6% fails a 0.2 bound.
+    assert bench_pairs.summarize(runs, BETTER, dict(BOUNDS, setup_s=0.36))["alternating_leaky"]["regressed"] == []
+    assert bench_pairs.summarize(runs, BETTER, dict(BOUNDS, trials_per_s=0.2))["alternating_leaky"]["regressed"] == [
+        "trials_per_s", "setup_s"]
 
 
 def test_src_lines_counts_like_wc(tmp_path):

@@ -1,12 +1,11 @@
 import csv
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import experiments, feasibility, kernel, model
+from cjopt import experiments, kernel, model
 from cjopt.errors import CjoptError, Infeasible, NumericalFailure
 from cjopt.experiments import (
     SOLVER_TABLE,
@@ -25,7 +24,7 @@ from cjopt.metrics import sinr_eve_upper, sinr_user
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
 from cjopt.report import Design, make_report
 from reference import secrecy_bounds, sinr_eve_full
-from util import feasible_instance, sweep_cli_spec
+from util import factor_calls, feasible_instance, sweep_cli_spec
 
 BASE = SystemParams(n=8, k=3, l=6, z=2, sigma2=1.0, tau=2.0, p_tot=100.0)
 
@@ -191,25 +190,20 @@ class TestRunSweep:
             assert len(rows) == len(spec.axis_values) * spec.trials * len(solvers)
 
     def test_one_batch_and_one_existence_test_per_trial(self, monkeypatch):
-        # The existence test of a trial's draw gives the QoS powers of every
-        # first step, and one kernel batch solves the programs of all trials.
-        calls = {"solve_batch": 0, "check_existence": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(kernel, "solve_batch", counted("solve_batch", kernel.solve_batch))
-        real = feasibility.check_existence
-        for name, mod in list(sys.modules.items()):  # every cjopt module that holds it
-            if name.startswith("cjopt") and getattr(mod, "check_existence", None) is real:
-                monkeypatch.setattr(mod, "check_existence", counted("check_existence", real))
+        # Every first step runs the existence test again, but only the
+        # trial's draw pays for it: the one inversion of Delta is cached on
+        # the precoder, and b_zero's two steps share the one full SVD of G
+        # cached on the channels. One kernel batch solves the programs of
+        # all trials.
+        batches = []
+        real = kernel.solve_batch
+        monkeypatch.setattr(kernel, "solve_batch", lambda *args, **kwargs: batches.append(1) or real(*args, **kwargs))
+        calls = factor_calls(monkeypatch)
         spec = _spec(axis="Z", axis_values=(1, 2), trials=3, solvers=tuple(SPECTRUM_TABLE))
         rows = run_sweep(spec)
         assert len(rows) == 2 * 3 * 4 and all(r.feasible for r in rows)
-        assert calls == {"solve_batch": 1, "check_existence": 2 * 3}
+        assert len(batches) == 1
+        assert (calls.count("delta"), calls.count("svd")) == (2 * 3, 2 * 3)
 
     def test_one_gram_inverse_per_feasible_trial(self, monkeypatch):
         # optimal and fixed_split price a trial's draw with compute_phi in
@@ -217,6 +211,9 @@ class TestRunSweep:
         # other trial's first stage: both read the draw's cached
         # zero_forcing, so a draw tests and inverts [G B]^H [G B] once.
         # The precoder's F^H F test, also in model, is not Hermitian.
+        # Each of the 40 draws also inverts Delta once and takes one full
+        # SVD of G, which b_zero's two steps share.
+        calls = factor_calls(monkeypatch)
         tests = []
         real = model.well_conditioned
         monkeypatch.setattr(model, "well_conditioned",
@@ -226,6 +223,7 @@ class TestRunSweep:
         assert len(feasible) >= 30
         assert all(r.feasible for r in rows if r.trial_seed in feasible and r.solver != "fixed_split")
         assert tests.count(True) == len(feasible)
+        assert (calls.count("delta"), calls.count("svd")) == (40, 40)
 
     def test_failed_program_keeps_its_own_row(self, monkeypatch):
         # A program whose kernel solve fails reports NumericalFailure in its

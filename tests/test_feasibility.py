@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cjopt.errors import Infeasible, SingularDelta
-from cjopt.feasibility import check_existence, delta_inverse_neg, optimal_power
+from cjopt.feasibility import check_existence, optimal_power
 from cjopt.metrics import sinr_user
-from cjopt.model import SystemParams, precoder_from_unit_columns
+from cjopt.model import Precoder, SystemParams, precoder_from_unit_columns
 from util import custom_channels, feasible_instance, make_instance
 
 
@@ -93,5 +93,6 @@ class TestOptimalPower:
 
 
 def test_singular_delta_rejected():
+    pre = Precoder(U=np.eye(2, dtype=complex), A=np.eye(2, dtype=complex), Delta=np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularDelta):
-        delta_inverse_neg(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        pre.qos_inverse

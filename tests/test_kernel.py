@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjopt import experiments, kernel
-from cjopt.alternating import b_zero_program, gamma_nullspace_param, solve_alternating
+from cjopt.alternating import b_zero_program, solve_alternating
 from cjopt.errors import CjoptError, InfeasibleProgram, NumericalFailure, RankDeficient
-from cjopt.feasibility import check_existence, optimal_power
+from cjopt.feasibility import check_existence
 from cjopt.kernel import (
     Box,
     ConvexProgram,
@@ -22,6 +22,7 @@ from cjopt.kernel import (
     solve_batch,
 )
 from cjopt.model import SystemParams, channel_inversion_precoder, generate_rayleigh
+from cjopt.numerics import gamma_nullspace_param
 from cjopt.optimal import compute_phi, optimal_spectrum, solve_optimal
 from reference import eq14_dual_bound
 from util import feasible_instance, sweep_cli_spec
@@ -405,7 +406,7 @@ class TestPaperSizeSolves:
         assert np.mean([s.iterations for s in sols]) <= 95 / 2
 
 
-# The null-space parametrization is part of cjopt.alternating, its only user.
+# The null-space parametrization behind ChannelSet.eve_nullspace, on arbitrary G.
 class TestGammaNullspaceParam:
     def test_orthonormal_columns(self):
         Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2))
@@ -448,7 +449,7 @@ def _eq14_programs(count, seed0=0):
     progs, seed = [], seed0
     while len(progs) < count:
         params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed))
-        progs.append(optimal_spectrum(pre, ch, params, optimal_power(pre, params)).program)
+        progs.append(optimal_spectrum(pre, ch, params).program)
         seed += 1
     return progs
 
@@ -516,9 +517,8 @@ class TestSolveBatch:
         for seed in range(4):
             for shape in ({}, {"k": 2, "l": 7, "z": 3}):
                 params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed), **shape)
-                p = optimal_power(pre, params)
-                progs.append(optimal_spectrum(pre, ch, params, p).program)
-                progs.append(b_zero_program(pre, ch, params, p).program)
+                progs.append(optimal_spectrum(pre, ch, params).program)
+                progs.append(b_zero_program(pre, ch, params).program)
             params, ch, pre = feasible_instance(seed, l=4, gain_db_b=-10.0)
             solve_alternating(pre, ch, params, max_iters=1)
             progs += blocks[:2]  # _step1 and _step2

@@ -94,7 +94,7 @@ class TestSolveJammingSpectrum:
         for seed in range(3):
             for shape in ({}, {"n": 4, "k": 1, "l": 2, "z": 1, "p_tot": 50.0}):
                 params, ch, pre = feasible_instance(seed, **shape)
-                specs.append(optimal_spectrum(pre, ch, params, optimal_power(pre, params)))
+                specs.append(optimal_spectrum(pre, ch, params))
         params, ch, pre = feasible_instance(1)
         p = optimal_power(pre, params)
         specs.insert(2, eq14_spectrum(pre, replace(params, p_tot=float(p.sum())), p, compute_phi(ch)))

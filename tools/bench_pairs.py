@@ -8,10 +8,11 @@ Pair P = 1..N runs `python3 perfbench/run.py --workload W --seed P
 first on odd pairs, the change first on even ones. BENCH_<N>.json gets
 every run's JSON line and, per workload and end-to-end metric, each side's
 quartiles, the median pair ratio (change / parent), the difference of the
-medians against the parent's IQR, and the pairs each side won (the
-direction of "better" comes from BENCHMARK.json), and each checkout's size,
-the `wc -l src/cjopt/*.py` total. The exit status is 1 if any run did not
-report `correct: true` with `failed: 0`.
+medians against the parent's IQR, the pairs each side won and whether the
+change regressed (the direction of "better" and the relative bound come
+from BENCHMARK.json), and each checkout's size, the `wc -l src/cjopt/*.py`
+total. The exit status is 1 if any run did not report `correct: true` with
+`failed: 0`.
 """
 
 import argparse
@@ -59,12 +60,15 @@ def _quartiles(xs):
     return [q1, statistics.median(xs), q3]
 
 
-def summarize(runs, better):
+def summarize(runs, better, bounds):
     """Per workload: the pairs, whether every run was correct without
-    failures, and per metric (better: name -> "lower" or "higher") each
-    side's [q1, median, q3], the median pair ratio change / parent, the
-    pairs each side won (a tie counts for neither), the parent's IQR and
-    the change's median minus the parent's."""
+    failures, the metrics that regressed, and per metric (better: name ->
+    "lower" or "higher") each side's [q1, median, q3], the median pair
+    ratio change / parent, the pairs each side won (a tie counts for
+    neither), the parent's IQR, the change's median minus the parent's,
+    and whether that difference is worse than the metric's relative bound
+    (bounds: name -> bound) times the parent's median: the benchmark's
+    regression gate."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -87,9 +91,10 @@ def summarize(runs, better):
                 "parent_won": sum(sign * (b - a) > 0 for a, b in values),
                 "parent_iqr": qp[2] - qp[0],
                 "median_difference": qc[1] - qp[1],
+                "regressed": sign * (qc[1] - qp[1]) > bounds[name] * abs(qp[1]),
             }
         out[workload] = {"pairs": len(pairs), "all_correct_and_no_failures": all(run_ok(r["result"]) for r in mine),
-                         "metrics": metrics}
+                         "regressed": [name for name, m in metrics.items() if m["regressed"]], "metrics": metrics}
     return out
 
 
@@ -104,7 +109,8 @@ def main(argv=None):
     ap.add_argument("--note", default="", help="free text stored with the runs")
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better, bounds = ({m["name"]: m[key] for m in end_to_end} for key in ("better", "bound"))
     out = args.out_dir / f"BENCH_{args.pr}.json"
     size = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     runs = []
@@ -125,7 +131,7 @@ def main(argv=None):
                 "order": "pair P uses seed P on both sides; odd pairs ran the parent first, even pairs the "
                          "change first (position 0 ran first); all runs were sequential",
                 "src_lines": size,
-                "summary": summarize(runs, better),
+                "summary": summarize(runs, better, bounds),
                 "runs": runs,
             }, indent=1) + "\n")
     return 0 if all(run_ok(r["result"]) for r in runs) else 1
