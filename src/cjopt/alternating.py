@@ -13,8 +13,12 @@ The real variable vectors of the two block programs are laid out as
 [c | Re W | Im W | eta] (cap block), with W flattened row-major. W is
 (L-Z) x Z, so it is empty when L = Z and the same code serves every jammer
 antenna count. The spectrum block without leak caps (W = 0) is the
-jamming-spectrum program of cjopt.optimal.make_spectrum in y_j = 1/x_j^2,
-laid out as [y | eta].
+jamming-spectrum program of cjopt.optimal.make_spectrum in y_j = 1/x_j^2;
+cjopt.optimal.dual_spectrum solves it in its K-variable dual, with no
+kernel program. Its y is scaled into the interior of the trace budget, so
+that the warm start of the block that follows is strictly feasible. The
+eq14 program of cjopt.optimal keeps its kernel solve; make_spectrum says
+why.
 """
 
 from dataclasses import dataclass, replace as dc_replace
@@ -27,10 +31,10 @@ from .feasibility import optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, Quadratic, ReciprocalSum
 from .metrics import sinr_eve_upper
 from .model import ChannelSet, Precoder, SystemParams
-from .optimal import Spectrum, make_spectrum, spectrum_result
+from .optimal import dual_spectrum
 from .report import Design
 
-__all__ = ["AlternatingState", "solve_alternating", "b_zero_program", "b_zero_design", "solve_b_zero"]
+__all__ = ["AlternatingState", "solve_alternating", "solve_b_zero"]
 
 _X_FLOOR = 1e-12
 
@@ -155,17 +159,15 @@ def _spectrum_program(ws: _AltWorkspace, p, budget, start, leak_caps):
                          strictly_feasible_point=start)
 
 
-def _cap_free(abs_a2, p, sigma2, prices, budget) -> Spectrum:
-    """The spectrum block without leak caps (W = 0): minimize eta s.t.
-    sum_j prices_j x_j^2 <= budget, p_k sum_j |a_kj|^2 / x_j^2 <= eta and
-    x_j >= _X_FLOOR. In y_j = 1/x_j^2 it is make_spectrum's program with
-    y_j <= 1/_X_FLOOR^2, started at an equal split of the trace budget."""
-    return make_spectrum(abs_a2, p, sigma2, prices, budget, _X_FLOOR ** -2, 2.0 * len(prices) * prices / budget)
-
-
 def _cap_free_spectrum(ws: _AltWorkspace, prices, p, budget):
-    """x of the solved cap-free spectrum block."""
-    return 1.0 / np.sqrt(_block_solve(ws, _cap_free(ws.abs_a2, p, ws.sigma2, prices, budget).program).x[: ws.Z])
+    """x of the spectrum block without leak caps (W = 0): minimize eta
+    s.t. sum_j prices_j x_j^2 <= budget, p_k sum_j |a_kj|^2 / x_j^2 <= eta
+    and x_j >= _X_FLOOR, solved by dual_spectrum in y_j = 1/x_j^2 <=
+    1/_X_FLOOR^2. A status other than Converged is kept in ws.kernel_status."""
+    y, _, status, _ = dual_spectrum(ws.abs_a2, p, prices, budget, _X_FLOOR ** -2)
+    if status != "Converged":
+        ws.kernel_status = status
+    return 1.0 / np.sqrt(y)
 
 
 def _step1(ws: _AltWorkspace, state: AlternatingState) -> AlternatingState:
@@ -379,30 +381,18 @@ def solve_alternating(pre: Precoder, ch: ChannelSet, params: SystemParams,
                          iterations=state.iteration)
 
 
-def b_zero_program(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Spectrum:
-    """b_zero's first step: the cap-free spectrum program on the headroom
-    left by the QoS powers p of optimal_power."""
+def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
+    """High-power optimal design with the jammer-to-users channel treated
+    as exactly zero: leaks vanish, so the minimal-norm factor
+    Gamma^H = P diag(x) at the cap-free spectrum is the answer, on the
+    headroom left by the QoS powers p of optimal_power. eta is the
+    high-power block objective, and iterations 0."""
     p = optimal_power(pre, params)
     P, _ = ch.eve_nullspace
     budget = params.p_tot - float(np.sum(np.abs(p)))
     if budget <= 0:
         raise Infeasible("no power headroom for jamming")
-    return _cap_free(np.abs(pre.A) ** 2, p, params.sigma2, np.sum(np.abs(P) ** 2, axis=0), budget)
-
-
-def b_zero_design(ch: ChannelSet, params: SystemParams, spec: Spectrum, result) -> Design:
-    """The minimal-norm factor Gamma^H = P diag(x) at a solved cap-free
-    spectrum (result as spectrum_result gives it, x = 1/sqrt(y)). eta is
-    the high-power block objective."""
-    y, eta, status, _ = result
+    y, eta, status, _ = dual_spectrum(np.abs(pre.A) ** 2, p, np.sum(np.abs(P) ** 2, axis=0), budget, _X_FLOOR ** -2)
     x = 1.0 / np.sqrt(y)
-    gamma_h = ch.eve_nullspace[0] * x
-    return Design(p=spec.p, x=x, Sigma=gamma_h @ gamma_h.conj().T, eta=eta, status=status, iterations=0)
-
-
-def solve_b_zero(pre: Precoder, ch: ChannelSet, params: SystemParams) -> Design:
-    """High-power optimal design with the jammer-to-users channel treated
-    as exactly zero: leaks vanish, so the minimal-norm factor at the
-    optimal spectrum is the answer: b_zero_program and b_zero_design around one solve."""
-    spec = b_zero_program(pre, ch, params)
-    return b_zero_design(ch, params, spec, spectrum_result(spec, kernel.solve(spec.program, gap_ref=0.0)))
+    gamma_h = P * x
+    return Design(p=p, x=x, Sigma=gamma_h @ gamma_h.conj().T, eta=eta, status=status, iterations=0)

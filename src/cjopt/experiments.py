@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .alternating import b_zero_design, b_zero_program, solve_alternating, solve_b_zero
+from .alternating import solve_alternating, solve_b_zero
 from .baselines import (
     fixed_split_design,
     fixed_split_spectrum,
@@ -65,8 +65,6 @@ SPECTRUM_TABLE = {
                 lambda ch, params, spec, result: spectrum_design(ch, params, spec, result)),
     "fixed_split": (lambda pre, ch, params: fixed_split_spectrum(pre, ch, params),
                     lambda ch, params, spec, result: fixed_split_design(ch, params, spec, result)),
-    "b_zero": (lambda pre, ch, params: b_zero_program(pre, ch, params),
-               lambda ch, params, spec, result: b_zero_design(ch, params, spec, result)),
     "l_inf_limit": (lambda pre, ch, params: l_inf_spectrum(pre, ch, params),
                     lambda ch, params, spec, result: l_inf_design(ch, params, spec, result)),
 }

@@ -4,24 +4,29 @@ jamming spectrum, and the minimal-norm jamming factor reconstruction.
 
 The design runs in two steps that a sweep can take apart: a Spectrum,
 which carries its kernel program, and the Design built from the solved
-program. solve_eq14 solves one Spectrum alone."""
+program. solve_eq14 solves one Spectrum alone. dual_spectrum solves the
+same program family in its K-variable Lagrange dual, without the kernel;
+the alternating design's cap-free spectrum block runs on it."""
 
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernel
-from .errors import CjoptError, IllConditioned, NumericalFailure, RankDeficient
+from .errors import CjoptError, IllConditioned, InfeasibleProgram, NumericalFailure, RankDeficient
 from .feasibility import optimal_power
 from .kernel import Box, ConvexProgram, LinearIneq, ReciprocalSum
 from .model import ChannelSet, Precoder, SystemParams
 from .numerics import well_conditioned
 from .report import Design
 
-__all__ = ["Spectrum", "compute_phi", "make_spectrum", "priced_spectrum", "spectrum_result", "solve_eq14",
-           "build_sigma", "optimal_spectrum", "spectrum_design", "solve_optimal"]
+__all__ = ["Spectrum", "compute_phi", "make_spectrum", "dual_spectrum", "priced_spectrum", "spectrum_result",
+           "solve_eq14", "build_sigma", "optimal_spectrum", "spectrum_design", "solve_optimal"]
 
 _HEADROOM_TOL = 1e-12
+_DUAL_GAP = 1e-12  # dual_spectrum's certified relative gap, level face and interior scaling of y
+_DUAL_MAX_STEPS = 100
+_TINY = np.finfo(float).tiny
 
 
 class Spectrum(NamedTuple):
@@ -62,8 +67,12 @@ def make_spectrum(abs_a2, p, sigma2, prices, budget, hi, y0) -> Spectrum:
         sum_j prices_j / y_j <= budget,  p_k sum_j |a_kj|^2 y_j <= eta,  1e-12 <= y_j <= hi,
 
     started at y0 and eta just above its bound. eq14 and the baselines
-    solve it in y_j = x_j = 1/(sigma^2 + lambda_j) (see priced_spectrum),
-    the alternating design's cap-free spectrum block in y_j = 1/x_j^2."""
+    solve it in y_j = x_j = 1/(sigma^2 + lambda_j) (see priced_spectrum).
+    The alternating design's cap-free spectrum block, in y_j = 1/x_j^2, is
+    the same program, which dual_spectrum solves exactly. eq14 stays on the
+    kernel: perfbench's eq14 check (perfbench/reference.py, eq14_dual_bound)
+    reads its dual weights off the slacks of a central-path point, and an
+    exact optimum, with zero slack on every active user, fails it."""
     Z, K = abs_a2.shape
     n = Z + 1  # variables [y_1..y_Z, eta]
     rows = np.empty((K, n))  # p_k sum_j |a_kj|^2 y_j - eta <= 0
@@ -76,6 +85,123 @@ def make_spectrum(abs_a2, p, sigma2, prices, budget, hi, y0) -> Spectrum:
     v0[Z] = 1.01 * float(np.max(p * (abs_a2.T @ v0[:Z]))) + 1e-12
     prog = ConvexProgram(n_vars=n, objective=np.eye(n)[Z], constraints=cons, strictly_feasible_point=v0)
     return Spectrum(abs_a2, p, sigma2, prog)
+
+
+def _cap_points(d, prices, budget, hi):
+    """The minimizer y of d . y over sum_j prices_j / y_j <= budget and
+    0 < y <= hi for d >= 0, with h = d . y, u_j = sqrt(prices_j / d_j) on
+    the unclipped set (0 on the clipped one) and
+    budget' = budget - sum_clipped prices_j / hi.
+
+    y_j = min(hi, sqrt(nu prices_j / d_j)) at the nu of the tight budget.
+    With q = sqrt(d / prices), the budget used at the breakpoint of y_j,
+    nu = hi^2 q_j^2, is sum_i prices_i max(q_i, q_j) / (hi q_j), so y_j is
+    clipped exactly when that reaches the budget. The unclipped y_j = s u_j
+    spend budget' with s = sum_unclipped prices_j q_j / budget'."""
+    q = np.sqrt(d / prices)
+    clip = prices @ np.maximum.outer(q, q) >= budget * hi * q
+    u = 1.0 / np.where(clip, np.inf, q)
+    rest = budget - prices @ clip / hi
+    y = np.where(clip, hi, prices @ np.where(clip, 0.0, q) / rest * u)
+    return y, d @ y, u, rest
+
+
+def dual_spectrum(abs_a2, p, prices, budget, hi):
+    """make_spectrum's program with y > 0 (no lower bound) in place of
+    1e-12 <= y, solved in its Lagrange dual over the K user weights w on
+    the simplex (Boyd & Vandenberghe, *Convex Optimization*, ch. 5):
+
+        minimize max_k c_k . y  s.t.  sum_j prices_j / y_j <= budget,  0 < y_j <= hi,
+
+    with c_k = p_k |a_k|^2. The dual function is h(w) = min_y d . y over
+    the budget and the box, d = sum_k w_k c_k, at the y(w) of _cap_points;
+    without clipping h = (sum_j sqrt(prices_j d_j))^2 / budget. y(w) is
+    feasible, so max_k c_k . y(w) - h(w) is a certified gap, and
+    dh/dw_k = c_k . y(w), user k's bound. On the unclipped set the Hessian
+    in d is u u^T / (2 budget') - diag(y / (2 d)).
+
+    An active-set Newton method maximizes h. It starts from the best
+    vertex (by h without clipping), adds the best user outside the face
+    once the face is level (the spread of its bounds is at most 1e-12 h),
+    steps on the face with sum w = 1 and a ridge of 1e-14 |tr H| (the face
+    Hessian is singular when the face holds more users than y has
+    unclipped entries), drops the user that blocks a step, and backtracks
+    on h (Armijo). It stops at a certified gap of 1e-12 h (Converged), or
+    after 100 steps or in a stalled line search (MaxIterations). The
+    unclipped y is scaled by 1 + 1e-12 before it is returned, so that the
+    budget has strict slack.
+
+    Returns (y, eta, status, iterations) as spectrum_result does: eta is
+    max_k c_k . y at the returned y, iterations the Newton steps."""
+    CT = (np.asarray(abs_a2, dtype=float) * np.asarray(p, dtype=float)).T.copy()  # row k is c_k
+    prices = np.asarray(prices, dtype=float)
+    if not budget > prices.sum() / hi:
+        raise InfeasibleProgram("budget leaves no interior for the spectrum")
+    face = [int(np.argmax(np.sqrt(CT * prices).sum(axis=1)))]
+    wf = np.ones(1)  # the weights of the face's users; the others are 0
+    y, h, u, rest = _cap_points(CT[face[0]], prices, budget, hi)
+    status = "MaxIterations"
+    for it in range(_DUAL_MAX_STEPS + 1):
+        g = CT @ y
+        if g.max() - h <= _DUAL_GAP * h:
+            status = "Converged"
+            break
+        if it == _DUAL_MAX_STEPS:
+            break
+        gf = g[face]
+        entering = False
+        if gf.max() - gf.min() <= _DUAL_GAP * h and len(face) < len(CT):
+            outside = g.copy()
+            outside[face] = -np.inf
+            out = int(np.argmax(outside))
+            if g[out] > h:
+                face.append(out)
+                wf = np.append(wf, 0.0)
+                gf = g[face]
+                entering = True
+        # Newton step on the face in v = (t, -sum t), a basis of sum v = 0
+        # that keeps the Hessian's null direction w out of the system; d
+        # moves by E t.
+        Cf = CT[face]
+        E = Cf[:-1] - Cf[-1]
+        curv = y * u * u / (2.0 * prices)  # y / (2 d), 0 where y is clipped
+        Eu = E @ u
+        R = (E * curv) @ E.T - np.outer(Eu, Eu) / (2.0 * rest)
+        R.flat[:: len(R) + 1] += 1e-14 * np.trace(R) + _TINY
+        t = np.linalg.solve(R, E @ y)
+        v = np.append(t, -t.sum())
+        if entering and v[-1] <= 0.0:
+            # A Frank-Wolfe step towards the vertex of the entering user,
+            # whose weight is still 0, to the top of its quadratic model.
+            v = -wf
+            v[-1] = 1.0
+            dv = v @ Cf
+            bend = float(dv @ (curv * dv) - (u @ dv) ** 2 / (2.0 * rest))
+            v *= min(1.0, (gf[-1] - h) / bend) if bend > 0.0 else 1.0
+        slope = float((gf - h) @ v)  # sum v = 0: g - h keeps the slope off the round-off of g
+        if not slope > 0.0:
+            break
+        ratios = np.where(v < 0.0, wf / np.maximum(-v, _TINY), np.inf)
+        block = int(np.argmin(ratios))
+        step = min(1.0, ratios[block])
+        for _ in range(60):
+            w_try = np.maximum(wf + step * v, 0.0)
+            if step == ratios[block]:
+                w_try[block] = 0.0
+            y_t, h_t, u_t, rest_t = _cap_points(w_try @ Cf, prices, budget, hi)
+            # A step whose gain h cannot resolve is taken in full: the spread
+            # of the bounds, and so the gap, still falls with it.
+            if h_t >= h + 1e-4 * step * slope or slope <= 1e-14 * h:
+                break
+            step *= 0.5
+        else:
+            break
+        y, h, u, rest = y_t, float(h_t), u_t, float(rest_t)
+        keep = w_try > 0.0
+        face = [i for i, kept in zip(face, keep) if kept]
+        wf = w_try[keep]
+    y = np.where(u > 0.0, np.minimum(y * (1.0 + _DUAL_GAP), hi), y)
+    return y, float(np.max(CT @ y)), status, it
 
 
 def priced_spectrum(pre: Precoder, params: SystemParams, p, phi, headroom, b) -> Spectrum:

@@ -7,7 +7,8 @@ check the metric formulas against an independent factorization; the
 Lagrange-dual lower bound on eq14 certifies the optimal spectrum, and the
 Z = 1 closed form pins it to the best zero-forcing design; the cap-free
 spectrum block in its original variables checks the one that the library
-solves in y = 1/x^2.
+solves in y = 1/x^2, and a Lagrange-dual lower bound at weights read off
+its point certifies the dual solver's gap.
 """
 
 import numpy as np
@@ -138,6 +139,23 @@ def psd_sqrt(A):
     return (V * np.sqrt(w)) @ V.conj().T
 
 
+def _budget_dual(d, prices, budget, cap):
+    """Lagrange-dual lower bound on min d . y over sum_j prices_j / y_j <=
+    budget and 0 < y <= cap, for d >= 0: for every nu >= 0 the Lagrangian
+    has the minimizer y_j = min(cap, sqrt(nu prices_j / d_j)), and nu is
+    the root of the budget, found by bisection on log10(nu)."""
+    def minimizer(nu):
+        return np.where(d > 0, np.minimum(cap, np.sqrt(nu * prices / np.where(d > 0, d, 1.0))), cap)
+
+    lo, hi = -300.0, 300.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.sum(prices / minimizer(10.0 ** mid)) > budget else (lo, mid)
+    nu = 10.0 ** hi
+    ys = minimizer(nu)
+    return float(d @ ys + nu * (np.sum(prices / ys) - budget))
+
+
 def eq14_dual_bound(abs_a2, p, phi, sigma2, p_tot, x, eta):
     """Lagrange-dual lower bound on the optimum of eq14,
 
@@ -145,28 +163,30 @@ def eq14_dual_bound(abs_a2, p, phi, sigma2, p_tot, x, eta):
         s.t. sum_j phi_j / x_j <= P_tot - sum(p) + sigma^2 sum(phi),  0 < x_j <= 1/sigma^2.
 
     For weights w on the simplex, max_k c_k.x >= d.x with d = sum_k w_k c_k,
-    and for every nu >= 0 the Lagrangian of min d.x under the budget has
-    the minimizer x_j = min(1/sigma^2, sqrt(nu phi_j / d_j)). The weights
-    are read off the returned point, w_k proportional to 1 / (eta - c_k.x)
-    (the central-path multipliers), and nu is the root of the budget,
-    found by bisection on log10(nu).
+    whose minimum under the budget _budget_dual bounds. The weights are
+    read off the returned point, w_k proportional to 1 / (eta - c_k.x)
+    (the central-path multipliers).
     """
     C = abs_a2 * np.asarray(p, dtype=float)[None, :]  # column k is c_k
     w = 1.0 / np.maximum(eta - C.T @ x, np.finfo(float).tiny)
-    d = C @ (w / w.sum())
     budget = p_tot - float(np.sum(p)) + sigma2 * float(np.sum(phi))
-    cap = 1.0 / sigma2
+    return _budget_dual(C @ (w / w.sum()), phi, budget, 1.0 / sigma2)
 
-    def minimizer(nu):
-        return np.where(d > 0, np.minimum(cap, np.sqrt(nu * phi / np.where(d > 0, d, 1.0))), cap)
 
-    lo, hi = -300.0, 300.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if np.sum(phi / minimizer(10.0 ** mid)) > budget else (lo, mid)
-    nu = 10.0 ** hi
-    xs = minimizer(nu)
-    return float(d @ xs + nu * (np.sum(phi / xs) - budget))
+def spectrum_dual_bound(C, prices, budget, hi, y):
+    """Lagrange-dual lower bound on min_y max_k c_k . y (C's columns) over
+    sum_j prices_j / y_j <= budget and 0 < y <= hi, at weights read off a
+    point y near the optimum: at the optimum d = C w is proportional to
+    prices_j / y_j^2 where y_j < hi, with w_k = 0 for the users whose bound
+    c_k . y is below the largest, so w is the least-squares fit of that on
+    the others, clipped at 0 and scaled onto the simplex. Any such w gives
+    a valid bound; an accurate y gives a tight one."""
+    bounds = C.T @ y
+    top = bounds >= bounds.max() * (1.0 - 1e-8)
+    free = y < hi
+    w = np.zeros(C.shape[1])
+    w[top] = np.maximum(np.linalg.lstsq(C[np.ix_(free, top)], prices[free] / y[free] ** 2, rcond=None)[0], 0.0)
+    return _budget_dual(C @ (w / w.sum()), prices, budget, hi)
 
 
 def zero_forcing_eta_z1(F, U, H, G, B, sigma2, tau, p_tot):

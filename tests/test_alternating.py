@@ -4,27 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import kernel
+from cjopt import alternating, kernel
 from cjopt.alternating import (
+    _X_FLOOR,
     AlternatingState,
     _AltWorkspace,
-    _cap_free,
     _step1,
     _step2,
-    b_zero_program,
     solve_alternating,
     solve_b_zero,
 )
 from cjopt.errors import Infeasible
 from cjopt.feasibility import check_existence, optimal_power
-from cjopt.kernel import LinearIneq, ReciprocalSum, _compile
 from cjopt.model import (
     SystemParams,
     channel_inversion_precoder,
     generate_rayleigh,
     precoder_from_unit_columns,
 )
-from cjopt.optimal import optimal_spectrum, solve_optimal
+from cjopt.optimal import dual_spectrum, make_spectrum, solve_optimal
 from cjopt.report import make_report
 from reference import cap_free_program_x
 from util import custom_channels, degenerate_draws, factor_calls, feasible_instance, make_instance
@@ -185,6 +183,39 @@ class TestSolveAlternating:
             assert (design.status, design.iterations) == ("Converged", iterations)
             assert design.eta == pytest.approx(eta, rel=1e-9)
 
+    def test_zero_forcing_blocks_need_no_phase_one(self, monkeypatch):
+        # With L >= K + Z the first block is the dual's cap-free spectrum.
+        # Its y is scaled into the interior of the budget, so the warm start
+        # of the cap block that follows is strictly feasible; at the exact
+        # budget it is not, and that block falls back to phase one.
+        calls, statuses = [], []
+        real = kernel.phase_one
+        monkeypatch.setattr(kernel, "phase_one", lambda prog: calls.append(prog) or real(prog))
+        for p_tot in (10 ** 1.5, 100.0, 1000.0):
+            for seed in range(8):
+                params, ch, pre = make_instance(seed, tau=10 ** 0.3, p_tot=p_tot)
+                if check_existence(pre, params).feasible:
+                    statuses.append(solve_alternating(pre, ch, params)[1].status)
+        assert len(statuses) >= 20 and set(statuses) == {"Converged"}
+        assert calls == []
+
+    @pytest.mark.parametrize("l,gain_db", [(6, 0.0), (4, -10.0)])
+    def test_eta_is_invariant_to_the_power_scale(self, l, gain_db):
+        # Scaling sigma^2 and P_tot together scales the spectrum and leaves
+        # eta unchanged. The cap-free spectrum has no absolute lower bound on
+        # y = 1/x^2, so this holds for b_zero and alternating from 1e-9 to
+        # 1e12, on the README config and on a leaky one (L < K + Z), where
+        # alternating holds it within its tol.
+        tol = 1e-12 if l == 6 else 1e-6
+        for seed in range(8):
+            params, ch, pre = make_instance(seed, l=l, tau=10 ** 0.3, gain_db_b=gain_db)
+            assert check_existence(pre, params).feasible
+            b_zero, alt = solve_b_zero(pre, ch, params).eta, solve_alternating(pre, ch, params)[1].eta
+            for scale in (1e-9, 1e-3, 1e3, 1e9, 1e10, 1e12):
+                scaled = replace(params, sigma2=scale * params.sigma2, p_tot=scale * params.p_tot)
+                assert solve_b_zero(pre, ch, scaled).eta == pytest.approx(b_zero, rel=1e-12)
+                assert solve_alternating(pre, ch, scaled)[1].eta == pytest.approx(alt, rel=tol)
+
     def test_infeasible_raises(self):
         params, ch, pre = make_instance(0, tau=1e6, p_tot=1.0)
         with pytest.raises(Infeasible):
@@ -221,10 +252,10 @@ class TestSolveBZero:
         eta2 = solve_b_zero(pre2, ch, params).eta
         assert eta2 == pytest.approx(4.0 * eta, rel=1e-5)
 
-    def test_program_uses_the_existence_powers(self):
+    def test_program_uses_the_existence_powers(self, monkeypatch):
         # The third QoS power of -(Delta^H)^{-1} 1 lies in (-1e-12, 0); the
-        # existence test zeroes it, and the cap-free program must use those
-        # powers, or a user's row p_k sum_j |a_kj|^2 y_j gets a negative
+        # existence test zeroes it, and the cap-free spectrum must use those
+        # powers, or a user's bound p_k sum_j |a_kj|^2 y_j gets a negative
         # coefficient.
         params, ch, pre = feasible_instance(0)
         M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -2.0, 1.0 - 1e-13]])
@@ -233,14 +264,28 @@ class TestSolveBZero:
         assert -1e-12 < raw[2] < 0.0
         feas = check_existence(pre, params)
         assert feas.feasible and feas.p_candidate[2] == 0.0
-        item = b_zero_program(pre, ch, params)
-        assert np.array_equal(item.p, feas.p_candidate)
-        coeffs = np.concatenate([c.coeff for c in item.program.constraints if isinstance(c, ReciprocalSum)])
-        assert coeffs.min() >= 0.0
-        rows = np.array([c.a[:-1] for c in item.program.constraints if isinstance(c, LinearIneq)])
-        assert len(rows) == params.k and rows.min() >= 0.0
+        inputs = []
+        monkeypatch.setattr(alternating, "dual_spectrum", lambda *args: inputs.append(args) or dual_spectrum(*args))
         d = solve_b_zero(pre, ch, params)
+        [(abs_a2, p, prices, _, _)] = inputs
+        assert np.array_equal(p, feas.p_candidate)
+        assert (abs_a2 * p).min() >= 0.0 and prices.min() > 0.0
         assert d.status == "Converged" and np.array_equal(d.p, feas.p_candidate)
+
+    def test_more_users_than_directions(self):
+        # Z = 2 < K = 3: on this draw the dual's face holds three users at
+        # one step, where its Hessian is singular and only the ridge keeps
+        # the Newton step finite. The result is the kernel's optimum of the
+        # same program.
+        params, ch, pre = make_instance(78, tau=10 ** 0.3)
+        d = solve_b_zero(pre, ch, params)
+        abs_a2, prices = np.abs(pre.A) ** 2, np.sum(np.abs(ch.eve_nullspace[0]) ** 2, axis=0)
+        budget = params.p_tot - d.p.sum()
+        prog = make_spectrum(abs_a2, d.p, params.sigma2, prices, budget, _X_FLOOR ** -2, 4.0 * prices / budget).program
+        sol = kernel.solve(prog, gap_ref=0.0)
+        assert d.status == sol.status == "Converged"
+        assert d.eta == pytest.approx(sol.objective_value, rel=1e-8)
+        assert d.x ** -2 == pytest.approx(sol.x[:-1], rel=1e-6)
 
     def test_matches_step1_without_leakage(self):
         params, ch, pre = _b_zero_scalar_setup(p_tot=30.0)
@@ -250,28 +295,37 @@ class TestSolveBZero:
         assert out.x[0] == pytest.approx(d.x[0], rel=1e-5)
         assert out.eta == pytest.approx(d.eta, rel=1e-5)
 
-    def test_program_shares_the_eq14_layout(self):
-        # In y = 1/x^2 the cap-free program is eq14's program at other
-        # prices, so a sweep stacks both in one structure.
-        params, ch, pre = feasible_instance(0)
-        keys = [_compile(spec.program)[1] for spec in (b_zero_program(pre, ch, params),
-                                                      optimal_spectrum(pre, ch, params))]
-        assert keys[0] == keys[1]
+
+def test_direction_without_signal_sits_at_the_floor():
+    # No user's signal reaches Eve along direction 1, so the cap-free block
+    # spends nothing there: x_1 is clipped at _X_FLOOR (y_1 = 1/_X_FLOOR^2).
+    # The block solved in x by the kernel leaves x_1 anywhere in its box,
+    # and has the same optimum on the other directions.
+    rng = np.random.default_rng(5)
+    abs_a2 = rng.exponential(size=(4, 3))
+    abs_a2[1] = 0.0
+    p, prices, budget = rng.uniform(0.1, 10.0, 3), rng.uniform(0.05, 5.0, 4), 30.0
+    y, eta, status, _ = dual_spectrum(abs_a2, p, prices, budget, _X_FLOOR ** -2)
+    sol = kernel.solve(cap_free_program_x(abs_a2, p, prices, budget, x_floor=_X_FLOOR), gap_ref=0.0)
+    assert status == sol.status == "Converged"
+    assert 1.0 / np.sqrt(y[1]) == _X_FLOOR and sol.x[1] > _X_FLOOR
+    assert eta == pytest.approx(sol.objective_value, rel=1e-8)
+    assert 1.0 / np.sqrt(y[[0, 2, 3]]) == pytest.approx(sol.x[[0, 2, 3]], rel=1e-6)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), z=st.integers(1, 5), k=st.integers(1, 4),
        log_budget=st.floats(-2.0, 4.0))
 def test_cap_free_matches_its_x_form(seed, z, k, log_budget):
-    # The cap-free block solved in y = 1/x^2 has the optimum of the same
-    # block solved in x: eta and x agree to the kernel's accuracy.
+    # The cap-free block solved by the dual in y = 1/x^2 has the optimum of
+    # the same block solved in x: eta and x agree to the kernel's accuracy.
     rng = np.random.default_rng(seed)
     abs_a2 = rng.exponential(size=(z, k))
     p = rng.uniform(0.1, 10.0, k)
     prices = rng.uniform(0.05, 5.0, z)
     budget = 10.0 ** log_budget
-    sol_y = kernel.solve(_cap_free(abs_a2, p, 1.0, prices, budget).program, gap_ref=0.0)
+    y, eta, status, _ = dual_spectrum(abs_a2, p, prices, budget, _X_FLOOR ** -2)
     sol_x = kernel.solve(cap_free_program_x(abs_a2, p, prices, budget), gap_ref=0.0)
-    assert sol_y.status == sol_x.status == "Converged"
-    assert sol_y.objective_value == pytest.approx(sol_x.objective_value, rel=1e-8)
-    assert 1.0 / np.sqrt(sol_y.x[:z]) == pytest.approx(sol_x.x[:z], rel=1e-6)
+    assert status == sol_x.status == "Converged"
+    assert eta == pytest.approx(sol_x.objective_value, rel=1e-8)
+    assert 1.0 / np.sqrt(y) == pytest.approx(sol_x.x[:z], rel=1e-6)

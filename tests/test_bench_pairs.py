@@ -75,3 +75,22 @@ def test_src_lines_counts_like_wc(tmp_path):
     (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
     (pkg / "notes.txt").write_text("not python\n")
     assert bench_pairs.src_lines(tmp_path) == 2
+
+
+def test_a_gain_is_resolved_by_nine_wins_in_ten_beyond_the_parent_iqr():
+    # Ten pairs of solve_ms_p50 (lower is better). The parent's quartiles
+    # are 19.25/20/20.75 ms, an IQR of 1.5 ms.
+    parent = [19.0, 20.0, 21.0, 19.0, 20.0, 21.0, 19.0, 20.0, 21.0, 20.0]
+
+    def summary(change):
+        runs = [_run(side, pair + 1, ms, 100.0) for pair in range(10)
+                for side, ms in (("parent", parent[pair]), ("change", change[pair]))]
+        return bench_pairs.summarize(runs, BETTER, BOUNDS)["sweep_cli"]["metrics"]["solve_ms_p50"]
+
+    won_nine = [17.0, 18.0, 18.5, 17.5, 18.0, 18.5, 17.0, 18.0, 18.5, 20.5]  # median 18.0: 2 ms better
+    ms = summary(won_nine)
+    assert (ms["change_won"], ms["parent_iqr"], ms["median_difference"]) == (9, 1.5, -2.0)
+    assert ms["gain_resolved"]
+    assert not summary(won_nine[:8] + [21.0, 20.5])["gain_resolved"]  # 8 wins in 10 (and a tie)
+    assert not summary([x + 0.75 for x in won_nine[:9]] + [20.5])["gain_resolved"]  # 1.25 ms < the IQR
+    assert not bench_pairs.summarize(RUNS, BETTER, BOUNDS)["sweep_cli"]["metrics"]["solve_ms_p50"]["gain_resolved"]  # 3 of 4

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjopt import experiments, kernel, model
+from cjopt import alternating, experiments, kernel, model
 from cjopt.errors import CjoptError, Infeasible, NumericalFailure
 from cjopt.experiments import (
     SOLVER_TABLE,
@@ -145,13 +145,16 @@ class TestRunSweep:
 
     def test_kernel_status_reaches_rows(self, monkeypatch):
         # Every kernel solve goes through solve_batch: kernel.solve hands it
-        # one program, and the sweep batches the spectrum programs.
-        real_solve_batch = kernel.solve_batch
+        # one program, and the sweep batches the spectrum programs. The
+        # cap-free spectra of b_zero and alternating are dual solves, whose
+        # status reaches the rows too.
+        real_solve_batch, real_dual = kernel.solve_batch, alternating.dual_spectrum
 
         def capped(*args, **kwargs):
             return [replace(s, status="MaxIterations") for s in real_solve_batch(*args, **kwargs)]
 
         monkeypatch.setattr(kernel, "solve_batch", capped)
+        monkeypatch.setattr(alternating, "dual_spectrum", lambda *args: (*real_dual(*args)[:2], "MaxIterations", 0))
         solvers = ("optimal", "alternating", "fixed_split", "b_zero", "l_inf_limit")
         rows = run_sweep(_spec(axis="P_tot", axis_values=(100.0,), trials=1, solvers=solvers))
         assert [r.solver for r in rows] == list(solvers)
@@ -190,16 +193,16 @@ class TestRunSweep:
             assert len(rows) == len(spec.axis_values) * spec.trials * len(solvers)
 
     def test_one_batch_and_one_existence_test_per_trial(self, monkeypatch):
-        # Every first step runs the existence test again, but only the
-        # trial's draw pays for it: the one inversion of Delta is cached on
-        # the precoder, and b_zero's two steps share the one full SVD of G
+        # Every first step and b_zero run the existence test again, but
+        # only the trial's draw pays for it: the one inversion of Delta is
+        # cached on the precoder, and b_zero takes the one full SVD of G,
         # cached on the channels. One kernel batch solves the programs of
-        # all trials.
+        # all trials; b_zero's spectrum is a dual solve outside it.
         batches = []
         real = kernel.solve_batch
         monkeypatch.setattr(kernel, "solve_batch", lambda *args, **kwargs: batches.append(1) or real(*args, **kwargs))
         calls = factor_calls(monkeypatch)
-        spec = _spec(axis="Z", axis_values=(1, 2), trials=3, solvers=tuple(SPECTRUM_TABLE))
+        spec = _spec(axis="Z", axis_values=(1, 2), trials=3, solvers=(*SPECTRUM_TABLE, "b_zero"))
         rows = run_sweep(spec)
         assert len(rows) == 2 * 3 * 4 and all(r.feasible for r in rows)
         assert len(batches) == 1
@@ -212,7 +215,7 @@ class TestRunSweep:
         # zero_forcing, so a draw tests and inverts [G B]^H [G B] once.
         # The precoder's F^H F test, also in model, is not Hermitian.
         # Each of the 40 draws also inverts Delta once and takes one full
-        # SVD of G, which b_zero's two steps share.
+        # SVD of G, for b_zero.
         calls = factor_calls(monkeypatch)
         tests = []
         real = model.well_conditioned
@@ -228,34 +231,34 @@ class TestRunSweep:
     def test_failed_program_keeps_its_own_row(self, monkeypatch):
         # A program whose kernel solve fails reports NumericalFailure in its
         # row; the other rows of its batch are unchanged. The sweep makes
-        # one batch of the eq14 programs and b_zero's cap-free programs; the
-        # first of each kind (b_zero's are those its first step built) fails.
+        # one batch of the spectrum programs; the first fixed-split program
+        # and the first of another solver fail.
         spec = _spec(axis="P_tot", axis_values=(20.0, 50.0), trials=3,
                      solvers=("optimal", "no_jamming", "fixed_split", "b_zero", "l_inf_limit"))
         want = run_sweep(spec)
-        real, real_b_zero = kernel.solve_batch, experiments.b_zero_program
-        b_zero_programs = set()
+        real, real_fixed_split = kernel.solve_batch, experiments.fixed_split_spectrum
+        fixed_split_programs = set()
 
         def recorded(*args):
-            built = real_b_zero(*args)
-            b_zero_programs.add(id(built.program))
+            built = real_fixed_split(*args)
+            fixed_split_programs.add(id(built.program))
             return built
 
         def first_of_each_kind_fails(progs, gap_ref=1.0):
             sols = real(progs, gap_ref)
-            cap_free = [id(g) in b_zero_programs for g in progs]
-            if len(set(cap_free)) == 2:
-                for k in (cap_free.index(False), cap_free.index(True)):
+            fixed_split = [id(g) in fixed_split_programs for g in progs]
+            if len(set(fixed_split)) == 2:
+                for k in (fixed_split.index(False), fixed_split.index(True)):
                     sols[k] = NumericalFailure("Newton system unsolvable after regularization")
             return sols
 
-        monkeypatch.setattr(experiments, "b_zero_program", recorded)
+        monkeypatch.setattr(experiments, "fixed_split_spectrum", recorded)
         monkeypatch.setattr(kernel, "solve_batch", first_of_each_kind_fails)
         got = run_sweep(spec)
         changed = [(a, b) for a, b in zip(want, got) if repr(a) != repr(b)]  # repr: NaN equals NaN
         assert len(changed) == 2
         assert all(b.status == "NumericalFailure" and not b.feasible for _, b in changed)
-        assert sorted(a.solver == "b_zero" for a, _ in changed) == [False, True]
+        assert sorted(a.solver == "fixed_split" for a, _ in changed) == [False, True]
         assert all(a.solver in SPECTRUM_TABLE for a, _ in changed)
 
     def test_programming_errors_escape(self, monkeypatch):

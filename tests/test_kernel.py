@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjopt import experiments, kernel
-from cjopt.alternating import b_zero_program, solve_alternating
+from cjopt.alternating import solve_alternating
+from cjopt.baselines import fixed_split_spectrum
 from cjopt.errors import CjoptError, InfeasibleProgram, NumericalFailure, RankDeficient
 from cjopt.feasibility import check_existence
 from cjopt.kernel import (
@@ -401,7 +402,9 @@ class TestPaperSizeSolves:
         sols = _counting_kernel(monkeypatch)
         _, design = solve_alternating(pre, ch, params)
         assert design.status == "Converged"
-        assert len(sols) >= 5
+        # Two block programs per outer iteration; the leak probe's cap-free
+        # spectrum is solved in its dual.
+        assert len(sols) == 2 * design.iterations >= 5
         assert all(s.status == "Converged" and s.kkt_residual <= 1e-9 for s in sols)
         assert np.mean([s.iterations for s in sols]) <= 95 / 2
 
@@ -508,17 +511,17 @@ class TestSolveBatch:
         assert all(_same(sol, _alone(p, 0.0)) for p, sol in zip(progs, batch))
 
     def test_programs_of_any_structures_match_lone_solves(self, monkeypatch):
-        # One list interleaves eq14 and b_zero programs of two (Z, K) shapes
-        # (one structure per shape) with the block programs of alternating
-        # runs at L < K + Z: four structures, each stacked on its own, and
-        # every entry is what its lone solve gives.
+        # One list interleaves eq14 and fixed-split programs of two (Z, K)
+        # shapes (one structure per shape) with the block programs of
+        # alternating runs at L < K + Z: four structures, each stacked on its
+        # own, and every entry is what its lone solve gives.
         progs, blocks = [], []
         monkeypatch.setattr(kernel, "solve", lambda prog, gap_ref=1.0: blocks.append(prog) or solve(prog, gap_ref))
         for seed in range(4):
             for shape in ({}, {"k": 2, "l": 7, "z": 3}):
                 params, ch, pre = feasible_instance(seed, p_tot=10 ** (1.5 + 0.05 * seed), **shape)
                 progs.append(optimal_spectrum(pre, ch, params).program)
-                progs.append(b_zero_program(pre, ch, params).program)
+                progs.append(fixed_split_spectrum(pre, ch, params).program)
             params, ch, pre = feasible_instance(seed, l=4, gain_db_b=-10.0)
             solve_alternating(pre, ch, params, max_iters=1)
             progs += blocks[:2]  # _step1 and _step2
@@ -600,8 +603,8 @@ class TestSolveBatch:
 
     def test_sweep_cli_batch_matches_lone_solves(self, monkeypatch):
         # The one batch of a sweep shaped like the benchmark's `cjopt
-        # sweep` call (eq14, fixed-split, limit and b_zero programs, all of
-        # one structure) gives each program its lone solve.
+        # sweep` call (eq14, fixed-split and limit programs, all of one
+        # structure) gives each program its lone solve.
         batches, real = [], kernel.solve_batch
         monkeypatch.setattr(kernel, "solve_batch",
                             lambda progs, gap_ref=1.0: batches.append(progs) or real(progs, gap_ref))

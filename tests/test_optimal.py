@@ -11,13 +11,15 @@ from cjopt.model import Precoder, SystemParams
 from cjopt.optimal import (
     build_sigma,
     compute_phi,
+    dual_spectrum,
     eq14_spectrum,
+    make_spectrum,
     optimal_spectrum,
     solve_eq14,
     solve_optimal,
     spectrum_result,
 )
-from reference import zero_forcing_eta_z1
+from reference import spectrum_dual_bound, zero_forcing_eta_z1
 from util import custom_channels, degenerate_draws, feasible_instance, make_instance
 
 
@@ -106,6 +108,43 @@ class TestSolveJammingSpectrum:
         for spec, (x, eta, status, iterations) in zip(specs, results):
             alone_x, *alone = solve_eq14(spec)
             assert np.array_equal(x, alone_x) and [eta, status, iterations] == alone
+
+
+def _random_spectrum(seed, z, k):
+    """|a_kj|^2, p, prices and budget of a random spectrum program."""
+    rng = np.random.default_rng(seed)
+    return rng.exponential(size=(z, k)), rng.uniform(0.1, 10.0, k), rng.uniform(0.05, 5.0, z), 10.0 ** rng.uniform(-2, 4)
+
+
+class TestDualSpectrum:
+    @pytest.mark.parametrize("z,k", [(5, 3), (15, 3), (3, 4), (2, 3), (1, 4)])
+    def test_certified_gap_and_strict_budget_slack(self, z, k):
+        # An independent dual bound, at weights read off the returned y,
+        # certifies the solver's point within 1e-12 once its interior
+        # scaling of 1 + 1e-12 is undone; that scaling leaves the budget a
+        # slack of about 1e-12 of itself. Z < K included.
+        hi = 1e24
+        for seed in range(20):
+            abs_a2, p, prices, budget = _random_spectrum(seed, z, k)
+            y, eta, status, _ = dual_spectrum(abs_a2, p, prices, budget, hi)
+            assert status == "Converged"
+            C = abs_a2 * p
+            lb = spectrum_dual_bound(C, prices, budget, hi, y)
+            assert lb <= eta and np.max(C.T @ np.where(y < hi, y / (1.0 + 1e-12), y)) - lb <= 1e-12 * lb
+            assert 0.0 < budget - np.sum(prices / y) <= 2e-12 * budget
+
+    def test_clipped_direction_matches_the_kernel(self):
+        # Below the largest unclipped y_j, the box clips it; the kernel's
+        # make_spectrum program with the same bounds has the same optimum.
+        for seed in range(4):
+            abs_a2, p, prices, budget = _random_spectrum(seed, 4, 3)
+            hi = 0.9 * dual_spectrum(abs_a2, p, prices, budget, 1e24)[0].max()
+            y, eta, status, _ = dual_spectrum(abs_a2, p, prices, budget, hi)
+            sol = kernel.solve(make_spectrum(abs_a2, p, 1.0, prices, budget, hi, np.full(4, 0.999 * hi)).program,
+                               gap_ref=0.0)
+            assert status == sol.status == "Converged" and np.count_nonzero(y == hi) >= 1
+            assert eta == pytest.approx(sol.objective_value, rel=1e-8)
+            assert y == pytest.approx(sol.x[:-1], rel=1e-6)
 
 
 class TestBuildSigma:

@@ -8,9 +8,9 @@ Pair P = 1..N runs `python3 perfbench/run.py --workload W --seed P
 first on odd pairs, the change first on even ones. BENCH_<N>.json gets
 every run's JSON line and, per workload and end-to-end metric, each side's
 quartiles, the median pair ratio (change / parent), the difference of the
-medians against the parent's IQR, the pairs each side won and whether the
+medians against the parent's IQR, the pairs each side won, whether the
 change regressed (the direction of "better" and the relative bound come
-from BENCHMARK.json), and each checkout's size, the `wc -l src/cjopt/*.py`
+from BENCHMARK.json) and whether it resolved a gain, and each checkout's size, the `wc -l src/cjopt/*.py`
 total. The exit status is 1 if any run did not report `correct: true` with
 `failed: 0`.
 """
@@ -66,9 +66,11 @@ def summarize(runs, better, bounds):
     "lower" or "higher") each side's [q1, median, q3], the median pair
     ratio change / parent, the pairs each side won (a tie counts for
     neither), the parent's IQR, the change's median minus the parent's,
-    and whether that difference is worse than the metric's relative bound
-    (bounds: name -> bound) times the parent's median: the benchmark's
-    regression gate."""
+    whether that difference is worse than the metric's relative bound
+    (bounds: name -> bound) times the parent's median (the benchmark's
+    regression gate), and whether it resolves a gain: the change won at
+    least 9 in 10 of the pairs and its median is better than the parent's
+    by more than the parent's IQR."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -83,15 +85,17 @@ def summarize(runs, better, bounds):
             parent, change = [a for a, _ in values], [b for _, b in values]
             sign = 1.0 if direction == "lower" else -1.0
             qp, qc = _quartiles(parent), _quartiles(change)
+            change_won = sum(sign * (b - a) < 0 for a, b in values)
             metrics[name] = {
                 "parent_q1_median_q3": qp,
                 "change_q1_median_q3": qc,
                 "median_pair_ratio": statistics.median(b / a for a, b in values if a) if any(parent) else None,
-                "change_won": sum(sign * (b - a) < 0 for a, b in values),
+                "change_won": change_won,
                 "parent_won": sum(sign * (b - a) > 0 for a, b in values),
                 "parent_iqr": qp[2] - qp[0],
                 "median_difference": qc[1] - qp[1],
                 "regressed": sign * (qc[1] - qp[1]) > bounds[name] * abs(qp[1]),
+                "gain_resolved": change_won >= 0.9 * len(values) and -sign * (qc[1] - qp[1]) > qp[2] - qp[0],
             }
         out[workload] = {"pairs": len(pairs), "all_correct_and_no_failures": all(run_ok(r["result"]) for r in mine),
                          "regressed": [name for name, m in metrics.items() if m["regressed"]], "metrics": metrics}
